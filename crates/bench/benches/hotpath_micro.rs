@@ -9,19 +9,15 @@
 //! the event loop, and keep `BENCH_perf.json` (the driver's events/sec
 //! reading) moving in the same direction.
 
-// The allocating-vs-`_into` comparison benches intentionally drive the
-// deprecated wrappers: the allocation saving is the point being measured.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmm_core::exec::{
     Action, ActionRun, ExecConfig, ExternalSort, HashJoin, Operator, RUN_BATCH,
 };
 use pmm_core::obs::{MetricsRegistry, TraceEvent, TraceKind, TraceMode, Tracer};
 use pmm_core::pmm::{
-    minmax_allocate, minmax_allocate_into, partitioned_allocate_with_into,
-    proportional_allocate, AllocScratch, DirtySet, Grants, IncrementalPartitioned,
-    PartitionScratch, PartitionSpec, PartitionStrategy, QueryDemand, QueryId,
+    minmax_allocate_into, partitioned_allocate_with_into, proportional_allocate_into,
+    AllocScratch, DirtySet, Grants, IncrementalPartitioned, PartitionScratch,
+    PartitionSpec, PartitionStrategy, QueryDemand, QueryId,
 };
 use pmm_core::simkit::{Calendar, Duration, SimTime};
 use pmm_core::storage::{DiskQueue, FileId, QueuedRequest};
@@ -335,12 +331,25 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("reallocate/minmax_64", |b| {
         let queries = demands(64);
-        b.iter(|| black_box(minmax_allocate(black_box(&queries), 2560, None)))
+        // Fresh buffers per call: the allocation saving of the warm `_into`
+        // cells below is the point being measured.
+        b.iter(|| {
+            let mut out = Grants::new();
+            let mut scratch = AllocScratch::default();
+            minmax_allocate_into(black_box(&queries), 2560, None, &mut scratch, &mut out);
+            black_box(out)
+        })
     });
 
     c.bench_function("reallocate/proportional_64", |b| {
         let queries = demands(64);
-        b.iter(|| black_box(proportional_allocate(black_box(&queries), 2560, None)))
+        b.iter(|| {
+            let mut out = Grants::new();
+            let mut scratch = AllocScratch::default();
+            let queries = black_box(&queries);
+            proportional_allocate_into(queries, 2560, None, &mut scratch, &mut out);
+            black_box(out)
+        })
     });
 
     // The engine's actual steady-state path: warm caller-owned scratch, no

@@ -1,90 +1,74 @@
 //! `experiments` — regenerate the paper's tables and figures.
 //!
-//! Two modes:
+//! Every run goes through the parallel multi-seed experiment driver: it
+//! shards a registered figure's cells across a thread pool, one
+//! independently seeded replication per `--seeds`, merges the per-seed
+//! reports into batch-means confidence intervals, and writes
+//! `BENCH_<figure>.json`, byte-identical for any `--threads` value.
 //!
-//! **Driver mode** (`--figure`): the parallel multi-seed experiment driver.
-//! Shards a figure's cells across a thread pool, one independently seeded
-//! replication per `--seeds`, merges the per-seed reports into batch-means
-//! confidence intervals, and writes machine-readable `BENCH_<figure>.json`.
-//! The merged output is byte-identical for any `--threads` value.
+//! A figure is selected two ways, freely mixed:
+//!
+//! * `--figure <name>` (repeatable) prints the merged miss-ratio table.
+//!   `--figure all` runs fig3 fig8 fig11 fig12 fig16 fig17 burst tenants
+//!   devices faults scale; the registered figures crashtest, fig6,
+//!   util_low, ablation and scaledown run only when named.
+//! * A positional artifact name prints the paper-layout tables of the
+//!   figure behind it, as seed-merged means: fig3 fig4 fig5 fig7 table7
+//!   (from fig3), fig6, fig8 fig9 fig10 (from fig8), fig11, fig12_14 fig15
+//!   (from fig12, with PMM decision recording on), fig16, fig17 fig18 (from
+//!   fig17), util_low, scaledown (the Section 5.7 check), ablation, or
+//!   `all` for every one of them.
+//!
+//! With no selection, `--smoke` means `--figure all` and anything else
+//! means the artifact `all`.
 //!
 //! ```text
 //! cargo run --release -p bench --bin experiments -- --figure fig3 --seeds 8 --threads 4
 //! cargo run --release -p bench --bin experiments -- --figure all --smoke
+//! cargo run --release -p bench --bin experiments -- fig11 --seeds 4 --secs 36000
 //! ```
 //!
-//! Flags: `--figure
-//! <fig3|fig8|fig11|fig12|fig16|fig17|burst|tenants|devices|faults|scale|all>`
-//! (repeatable), `--seeds N` (default 8), `--threads N` (default: available
+//! Flags: `--seeds N` (default 8), `--threads N` (default: available
 //! cores), `--secs S` (default 3600), `--master-seed S` (default 1994),
-//! `--out DIR` (default `.`), `--smoke` (defaults-only: the seed and
-//! sim-secs *defaults* become 1 and 300 — the CI smoke configuration —
-//! but an explicit `--seeds`/`--secs` still wins, so a long-horizon smoke
-//! like `--smoke --secs 36000` works), `--record-arrivals` (write
-//! replication 0's
-//! inter-arrival gaps per cell and class as `TRACE_<figure>_cell<i>_
-//! class<j>.txt`, replayable via `workload::Trace::from_file` /
-//! `ArrivalSpec::Trace`), `--record-pmm-decisions` (write replication 0's
-//! PMM decision trace per adaptive cell as `TRACE_pmm_<figure>_cell<i>.txt`
-//! — the Figure 15 series the merged JSON drops), `--trace` (record
-//! replication 0's structured sim-time trace per cell as
-//! `TRACE_obs_<figure>_cell<i>.txt`, export cell 0 as Chrome trace-event
-//! JSON `CHROME_<figure>_cell0.json` for chrome://tracing / Perfetto, and
-//! write the seed-merged metrics registry as
-//! `BENCH_<figure>_metrics.json`), `--metrics` (collect and write
-//! `BENCH_<figure>_metrics.json` *without* record-level tracing — the
-//! long-horizon configuration: registry memory stays O(counters) while
-//! `--trace` buffers or streams O(events); implied by `--trace`),
-//! `--profile` (attribute wall-clock time
-//! per engine subsystem and write `BENCH_profile.json` — machine-dependent,
-//! like `BENCH_perf.json`).
-//!
-//! Beyond the paper: `--figure burst` sweeps MMPP burst ratios at the
-//! baseline's mean rate under the static policies, v1 PMM, and the
-//! regime-aware `PMM-regime`; `--figure tenants` sweeps multi-tenant quota
-//! splits under shared vs. hard- vs. soft-partitioned memory and the
-//! per-tenant-adaptive `PMM-tenant`, with per-tenant quota-utilization /
-//! borrow-volume aggregates in each cell's `tenants` array. `fig12` cells
-//! carry the merged per-window miss-ratio series (with 90% CIs across
-//! seeds) in their `windows` array. `--figure devices` crosses the storage
-//! service models (cylinder disk vs. SSD) with the buffer-pool eviction
-//! policies (LRU vs. LRU-2) at two baseline arrival rates; each cell's
-//! policy name reads `"<device>+<eviction>/<policy>"`. `--figure faults`
-//! sweeps fault-plan intensity (0 = fault-free control) × degradation
-//! policy; each cell's policy name reads `"<mode>/<policy>"` with mode
-//! `abort` or `requeue`. `--figure scale` sweeps the tenant population
-//! 10¹→10³ (one soft-quota tenant grid per cell) under incremental
-//! partitioned reallocation, the pinned full-snapshot reference path
-//! (`"snapshot/Partitioned-soft"` cells), and per-tenant-adaptive
-//! `PMM-tenant`. Under `--trace` the faults figure streams each
-//! cell's structured trace straight to `TRACE_obs_faults_cell<i>.txt`
-//! instead of buffering it in memory (so no Chrome export is produced for
-//! streamed cells). A replication that panics does not abort the sweep:
-//! the surviving cells complete and the failed units are written to
-//! `BENCH_<figure>_quarantine.json` with their cell, policy, replication
-//! index, and seed.
-//!
-//! **Report mode** (positional artifact name): the original single-seed
-//! text reports in the paper's layout.
-//!
-//! ```text
-//! cargo run --release -p bench --bin experiments -- all [--secs N]
-//! cargo run --release -p bench --bin experiments -- fig3 --secs 36000
-//! ```
-//!
-//! Report-mode artifacts: fig3 fig4 fig5 table7 fig6 fig7 fig8 fig9 fig10
-//! fig11 fig12_14 fig15 fig16 fig17 fig18 util_low scale ablation all
+//! `--out DIR` (default `.`, must exist), `--smoke` (the seed and sim-secs
+//! *defaults* become 1 and 300; explicit values still win),
+//! `--record-arrivals` (replication 0's inter-arrival gaps per cell and
+//! class as `TRACE_<figure>_cell<i>_class<j>.txt`, replayable via
+//! `ArrivalSpec::Trace`), `--record-pmm-decisions` (replication 0's PMM
+//! decision trace per adaptive cell as `TRACE_pmm_<figure>_cell<i>.txt`),
+//! `--trace` (replication 0's structured sim-time trace per cell as
+//! `TRACE_obs_<figure>_cell<i>.txt` — streamed to disk for `faults` —
+//! cell 0 as Chrome trace-event JSON `CHROME_<figure>_cell0.json`, and the
+//! seed-merged metrics registry as `BENCH_<figure>_metrics.json`),
+//! `--metrics` (the metrics registry without record-level tracing), and
+//! `--profile` (wall-clock attribution per engine subsystem in
+//! `BENCH_profile.json`, machine-dependent like `BENCH_perf.json`). A
+//! value flag without a value, an unknown flag or artifact, and a
+//! non-positive or non-finite `--secs` are errors. A replication that
+//! panics does not abort the sweep: its unit is written to
+//! `BENCH_<figure>_quarantine.json` with its cell, policy, replication
+//! index and seed.
 
 use bench::driver::{
-    metrics_json, perf_json, profile_json, quarantine_json, run_figure, DriverConfig,
-    FIGURES,
+    figure_spec, metrics_json, perf_json, profile_json, quarantine_json, run_figure,
+    DriverConfig, FigurePerf, FIGURES,
 };
-use bench::*;
+use bench::report::{report_for, Report, REPORTS};
 use pmm_core::obs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Flags that take a value, in both modes.
+/// Flags that take no value.
+const SWITCHES: [&str; 6] = [
+    "--smoke",
+    "--record-arrivals",
+    "--record-pmm-decisions",
+    "--trace",
+    "--metrics",
+    "--profile",
+];
+
+/// Flags that take a value.
 const VALUE_FLAGS: [&str; 6] = [
     "--figure",
     "--seeds",
@@ -94,93 +78,101 @@ const VALUE_FLAGS: [&str; 6] = [
     "--out",
 ];
 
-/// Artifact names accepted by report mode.
-const ARTIFACTS: [&str; 18] = [
-    "fig3", "fig4", "fig5", "table7", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "fig12_14", "fig15", "fig16", "fig17", "fig18", "util_low", "scale", "ablation",
-];
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parse a flag's value; a present-but-unparsable value is an error, not a
-/// silent fallback to the default.
-fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, String> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value {v:?} for {flag}")),
-    }
-}
+/// One figure to run, with the paper-layout report to print it through
+/// (`None` prints the merged miss-ratio table).
+type Job = (&'static str, Option<&'static Report>);
 
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-fn run_driver(args: &[String]) -> Result<(), String> {
-    // Strict scan: collect `--figure` values, reject unknown flags and stray
-    // positionals (a positional artifact name belongs to report mode — mixing
-    // the modes would silently drop it otherwise).
-    let mut figures: Vec<String> = Vec::new();
+/// The one argument parser: a strict scan over every argument, then the
+/// driver config from the collected values.
+fn parse(args: &[String]) -> Result<(Vec<Job>, DriverConfig, PathBuf), String> {
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut values: Vec<(&str, &str)> = Vec::new();
+    let mut switches: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        let a = &args[i];
-        if a == "--figure" {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => figures.push(v.clone()),
-                _ => return Err("--figure requires a value".into()),
-            }
-            i += 2;
-        } else if a == "--smoke"
-            || a == "--record-arrivals"
-            || a == "--record-pmm-decisions"
-            || a == "--trace"
-            || a == "--metrics"
-            || a == "--profile"
-        {
+        let a = args[i].as_str();
+        if SWITCHES.contains(&a) {
+            switches.push(a);
             i += 1;
-        } else if VALUE_FLAGS.contains(&a.as_str()) {
-            if args.get(i + 1).is_none() {
-                return Err(format!("{a} requires a value"));
+        } else if VALUE_FLAGS.contains(&a) {
+            let v = match args.get(i + 1) {
+                Some(v) if !v.starts_with("--") => v.as_str(),
+                _ => return Err(format!("{a} requires a value")),
+            };
+            if a != "--figure" {
+                values.push((a, v));
+            } else if v == "all" {
+                jobs.extend(FIGURES.iter().map(|&f| (f, None)));
+            } else {
+                jobs.push((figure_spec(v)?.name, None));
             }
             i += 2;
         } else if a.starts_with("--") {
             return Err(format!("unknown flag {a}"));
+        } else if a == "all" {
+            jobs.extend(REPORTS.iter().map(|r| (r.figure, Some(r))));
+            i += 1;
         } else {
-            return Err(format!(
-                "unexpected positional argument {a:?} in driver mode; \
-                 use `--figure {a}` (driver) or drop the driver flags (report mode)"
-            ));
+            let report = report_for(a).ok_or_else(|| {
+                let known: Vec<&str> =
+                    REPORTS.iter().flat_map(|r| r.artifacts).copied().collect();
+                format!(
+                    "unknown artifact {a:?}; known artifacts: all, {}",
+                    known.join(", ")
+                )
+            })?;
+            jobs.push((report.figure, Some(report)));
+            i += 1;
         }
     }
-    // Bare `--smoke` (or explicit `all`) means the full sweep.
-    if figures.is_empty() || figures.iter().any(|f| f == "all") {
-        figures = FIGURES.iter().map(|f| (*f).to_string()).collect();
+    let smoke = switches.contains(&"--smoke");
+    if jobs.is_empty() {
+        if smoke {
+            jobs.extend(FIGURES.iter().map(|&f| (f, None)));
+        } else {
+            jobs.extend(REPORTS.iter().map(|r| (r.figure, Some(r))));
+        }
     }
+    // Artifacts sharing a figure (fig3 and fig4, ...) run it once.
+    let mut seen: Vec<(&str, bool)> = Vec::new();
+    jobs.retain(|&(figure, report)| {
+        let key = (figure, report.is_some());
+        let fresh = !seen.contains(&key);
+        seen.push(key);
+        fresh
+    });
 
+    // The first occurrence of a value flag wins; a present-but-unparsable
+    // value is an error, not a silent fallback to the default.
+    fn value<T: std::str::FromStr>(
+        values: &[(&str, &str)],
+        flag: &str,
+        default: T,
+    ) -> Result<T, String> {
+        match values.iter().find(|(f, _)| *f == flag) {
+            None => Ok(default),
+            Some((_, v)) => v
+                .parse()
+                .map_err(|_| format!("invalid value {v:?} for {flag}")),
+        }
+    }
     // `--smoke` only moves the *defaults*: an explicit `--seeds`/`--secs`
     // still wins, so a long-horizon smoke (`--smoke --secs 36000`) keeps the
     // smoke posture without forfeiting the horizon.
-    let smoke = args.iter().any(|a| a == "--smoke");
     let cfg = DriverConfig {
-        seeds: parse_flag(args, "--seeds", if smoke { 1 } else { 8 })?,
-        threads: parse_flag(args, "--threads", default_threads())?,
-        secs: parse_flag(args, "--secs", if smoke { 300.0 } else { 3_600.0 })?,
-        master_seed: parse_flag(args, "--master-seed", 1994)?,
-        record_arrivals: args.iter().any(|a| a == "--record-arrivals"),
-        record_pmm_decisions: args.iter().any(|a| a == "--record-pmm-decisions"),
-        trace: args.iter().any(|a| a == "--trace"),
-        metrics: args.iter().any(|a| a == "--metrics"),
-        profile: args.iter().any(|a| a == "--profile"),
+        seeds: value(&values, "--seeds", if smoke { 1 } else { 8 })?,
+        threads: value(&values, "--threads", default_threads())?,
+        secs: value(&values, "--secs", if smoke { 300.0 } else { 3_600.0 })?,
+        master_seed: value(&values, "--master-seed", 1994)?,
+        record_arrivals: switches.contains(&"--record-arrivals"),
+        record_pmm_decisions: switches.contains(&"--record-pmm-decisions"),
+        trace: switches.contains(&"--trace"),
+        metrics: switches.contains(&"--metrics"),
+        profile: switches.contains(&"--profile"),
         stream_dir: None,
     };
     if cfg.seeds == 0 {
@@ -192,13 +184,26 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     if !(cfg.secs > 0.0 && cfg.secs.is_finite()) {
         return Err("--secs must be a positive number".into());
     }
-    let out_dir = PathBuf::from(flag_value(args, "--out").unwrap_or_else(|| ".".into()));
+    let out_dir = PathBuf::from(value(&values, "--out", ".".to_string())?);
+    Ok((jobs, cfg, out_dir))
+}
 
-    let mut perf: Vec<(String, bench::driver::FigurePerf)> = Vec::new();
+/// Write `body` to `dir/name` and return the path written.
+fn write(dir: &Path, name: String, body: String) -> Result<PathBuf, String> {
+    let path = dir.join(name);
+    std::fs::write(&path, body)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
+fn run(args: &[String]) -> Result<(), String> {
+    let (jobs, cfg, out_dir) = parse(args)?;
+    let mut perf: Vec<(String, FigurePerf)> = Vec::new();
     let mut profiles: Vec<(String, obs::ProfileReport)> = Vec::new();
-    for figure in &figures {
+    for (figure, report) in jobs {
         let started = std::time::Instant::now();
         let mut fig_cfg = cfg.clone();
+        fig_cfg.record_pmm_decisions |= report.is_some_and(|r| r.pmm_decisions);
         // The faults sweep streams its structured traces to disk as the
         // runs progress — fault storms under Full tracing would otherwise
         // buffer large rings per cell.
@@ -210,10 +215,15 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             fig_cfg.stream_dir = Some(out_dir.clone());
         }
         let result = run_figure(figure, fig_cfg)?;
-        print!("{}", result.render());
-        let path = out_dir.join(format!("BENCH_{figure}.json"));
-        std::fs::write(&path, result.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        match report {
+            Some(r) => {
+                let mut tables = String::new();
+                (r.render)(&result, &mut tables).map_err(|e| e.to_string())?;
+                print!("{tables}");
+            }
+            None => print!("{}", result.render()),
+        }
+        let path = write(&out_dir, format!("BENCH_{figure}.json"), result.to_json())?;
         println!(
             "wrote {} ({} cells × {} seeds, {:.1}s wall on {} threads, \
              {:.0} events/s per core)\n",
@@ -227,10 +237,6 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // Recorded arrival traces: one whitespace/comment text file per
         // cell and class, in the exact format `Trace::from_file` parses.
         for t in &result.traces {
-            let trace_path = out_dir.join(format!(
-                "TRACE_{figure}_cell{}_class{}.txt",
-                t.cell, t.class
-            ));
             let mut body = format!(
                 "# {figure} cell {} (x={:?}, policy={}) class {} — replication 0 \
                  inter-arrival gaps (s)\n",
@@ -239,8 +245,8 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             for g in &t.gaps {
                 body.push_str(&format!("{g:?}\n"));
             }
-            std::fs::write(&trace_path, body)
-                .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
+            let name = format!("TRACE_{figure}_cell{}_class{}.txt", t.cell, t.class);
+            write(&out_dir, name, body)?;
         }
         if !result.traces.is_empty() {
             println!(
@@ -251,8 +257,6 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // PMM decision traces (Figure 15): one text file per cell whose
         // policy took adaptive decisions, in the Figures 6/15 layout.
         for t in &result.pmm_traces {
-            let trace_path =
-                out_dir.join(format!("TRACE_pmm_{figure}_cell{}.txt", t.cell));
             let mut body = format!(
                 "# {figure} cell {} (x={:?}, policy={}) — replication 0 PMM \
                  decision trace: t_secs mode target_mpl\n",
@@ -266,8 +270,11 @@ fn run_driver(args: &[String]) -> Result<(), String> {
                     p.target_mpl.map_or("-".into(), |m| m.to_string())
                 ));
             }
-            std::fs::write(&trace_path, body)
-                .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
+            write(
+                &out_dir,
+                format!("TRACE_pmm_{figure}_cell{}.txt", t.cell),
+                body,
+            )?;
         }
         if !result.pmm_traces.is_empty() {
             println!(
@@ -279,21 +286,22 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // trace per cell, the seed-merged metrics registry, and a Chrome
         // trace-event export of cell 0 for chrome://tracing / Perfetto.
         for t in &result.obs_traces {
-            let trace_path =
-                out_dir.join(format!("TRACE_obs_{figure}_cell{}.txt", t.cell));
             let mut body = format!(
                 "# {figure} cell {} (x={:?}, policy={}) — replication 0 \
                  structured sim-time trace\n",
                 t.cell, t.x, t.policy
             );
             body.push_str(&obs::render_text(&t.records));
-            std::fs::write(&trace_path, body)
-                .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
+            write(
+                &out_dir,
+                format!("TRACE_obs_{figure}_cell{}.txt", t.cell),
+                body,
+            )?;
         }
         if let Some(t) = result.obs_traces.first() {
-            let chrome_path = out_dir.join(format!("CHROME_{figure}_cell0.json"));
-            std::fs::write(&chrome_path, obs::chrome_trace_json(&t.records))
-                .map_err(|e| format!("cannot write {}: {e}", chrome_path.display()))?;
+            let chrome = obs::chrome_trace_json(&t.records);
+            let chrome_path =
+                write(&out_dir, format!("CHROME_{figure}_cell0.json"), chrome)?;
             println!(
                 "wrote {} structured trace file(s) and {} (Chrome trace-event \
                  export)",
@@ -302,9 +310,8 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             );
         }
         if !result.metrics.is_empty() {
-            let metrics_path = out_dir.join(format!("BENCH_{figure}_metrics.json"));
-            std::fs::write(&metrics_path, metrics_json(&result))
-                .map_err(|e| format!("cannot write {}: {e}", metrics_path.display()))?;
+            let name = format!("BENCH_{figure}_metrics.json");
+            let metrics_path = write(&out_dir, name, metrics_json(&result))?;
             println!(
                 "wrote {} (merged metrics registry; thread-count invariant)",
                 metrics_path.display()
@@ -323,9 +330,8 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // Keep the exit status green — the partial results are valid and
         // deterministic — but say so loudly and leave the evidence behind.
         if !result.quarantine.is_empty() {
-            let q_path = out_dir.join(format!("BENCH_{figure}_quarantine.json"));
-            std::fs::write(&q_path, quarantine_json(&result))
-                .map_err(|e| format!("cannot write {}: {e}", q_path.display()))?;
+            let name = format!("BENCH_{figure}_quarantine.json");
+            let q_path = write(&out_dir, name, quarantine_json(&result))?;
             eprintln!(
                 "warning: {} replication(s) of {figure} panicked and were \
                  quarantined; see {}",
@@ -334,16 +340,14 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             );
         }
         if let Some(p) = &result.profile {
-            profiles.push((figure.clone(), p.clone()));
+            profiles.push((figure.to_string(), p.clone()));
         }
-        perf.push((figure.clone(), result.perf));
+        perf.push((figure.to_string(), result.perf));
     }
     // The perf trajectory is a separate artifact: BENCH_<figure>.json stays
     // byte-identical across machines and thread counts, BENCH_perf.json
     // deliberately is not.
-    let perf_path = out_dir.join("BENCH_perf.json");
-    std::fs::write(&perf_path, perf_json(&cfg, &perf))
-        .map_err(|e| format!("cannot write {}: {e}", perf_path.display()))?;
+    let perf_path = write(&out_dir, "BENCH_perf.json".into(), perf_json(&cfg, &perf))?;
     println!(
         "wrote {} (perf trajectory; not determinism-pinned)",
         perf_path.display()
@@ -351,9 +355,8 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     // The self-profile is wall-clock attribution per engine subsystem —
     // machine-dependent like the perf trajectory, and kept apart from it.
     if !profiles.is_empty() {
-        let profile_path = out_dir.join("BENCH_profile.json");
-        std::fs::write(&profile_path, profile_json(&cfg, &profiles))
-            .map_err(|e| format!("cannot write {}: {e}", profile_path.display()))?;
+        let profile = profile_json(&cfg, &profiles);
+        let profile_path = write(&out_dir, "BENCH_profile.json".into(), profile)?;
         println!(
             "wrote {} (self-profile; not determinism-pinned)",
             profile_path.display()
@@ -362,282 +365,9 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_reports(args: &[String]) -> Result<(), String> {
-    let what = args.first().cloned().unwrap_or_else(|| "all".into());
-    if what != "all" && !ARTIFACTS.contains(&what.as_str()) {
-        return Err(format!(
-            "unknown artifact {what:?}; known artifacts: all, {}",
-            ARTIFACTS.join(", ")
-        ));
-    }
-    let secs = parse_flag(args, "--secs", 3_600.0)?;
-
-    let run = |name: &str| what == "all" || what == name;
-
-    if run("fig3") || run("fig4") || run("fig5") || run("table7") || run("fig7") {
-        let rows = baseline_sweep(secs);
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 3: Miss Ratio (Baseline)",
-                "rate q/s",
-                &rows,
-                |r| r.miss_pct(),
-                "% missed"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 4: Disk Utilization (Baseline)",
-                "rate q/s",
-                &rows,
-                |r| 100.0 * r.disk_util,
-                "% busy"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 5: Average MPL (Baseline)",
-                "rate q/s",
-                &rows,
-                |r| r.avg_mpl,
-                "queries"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 7: Memory Fluctuations (Baseline)",
-                "rate q/s",
-                &rows,
-                |r| r.avg_fluctuations,
-                "changes/query"
-            )
-        );
-        println!("== Table 7: Average Timings (seconds) ==");
-        for row in rows.iter().filter(|r| [0.04, 0.06, 0.08].contains(&r.x)) {
-            println!("arrival rate {:.2}:", row.x);
-            println!(
-                "  {:<14} {:>9} {:>10} {:>9}",
-                "algorithm", "waiting", "execution", "total"
-            );
-            for (name, r) in &row.reports {
-                println!(
-                    "  {:<14} {:>9.1} {:>10.1} {:>9.1}",
-                    name, r.timings.waiting, r.timings.execution, r.timings.response
-                );
-            }
-        }
-        println!();
-    }
-
-    if run("fig6") {
-        let r = fig6(secs);
-        println!("== Figure 6: PMM target MPL trace (baseline, λ = 0.075) ==");
-        println!("{:>10} {:>8} {:>10}", "t (s)", "mode", "target MPL");
-        for p in &r.trace {
-            println!(
-                "{:>10.0} {:>8} {:>10}",
-                p.at.as_secs_f64(),
-                p.mode.to_string(),
-                p.target_mpl.map_or("-".into(), |m| m.to_string())
-            );
-        }
-        println!("final miss ratio: {:.1}%\n", r.miss_pct());
-    }
-
-    if run("fig8") || run("fig9") || run("fig10") {
-        let rows = contention_sweep(secs, 2);
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 8: Miss Ratio (Disk Contention, 6 disks)",
-                "rate q/s",
-                &rows,
-                |r| r.miss_pct(),
-                "% missed"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 9: Disk Utilization (Disk Contention)",
-                "rate q/s",
-                &rows,
-                |r| 100.0 * r.disk_util,
-                "% busy"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 10: Average MPL (Disk Contention)",
-                "rate q/s",
-                &rows,
-                |r| r.avg_mpl,
-                "queries"
-            )
-        );
-    }
-
-    if run("fig11") {
-        println!("== Figure 11: MinMax-N sweep (λ = 0.07, 6 disks) ==");
-        println!(
-            "{:>5} {:>10} {:>8} {:>10}",
-            "N", "miss %", "MPL", "disk util"
-        );
-        for (n, r) in fig11(secs, &FIG11_LIMITS) {
-            println!(
-                "{:>5} {:>10.1} {:>8.1} {:>10.2}",
-                n,
-                r.miss_pct(),
-                r.avg_mpl,
-                r.disk_util
-            );
-        }
-        println!();
-    }
-
-    if run("fig12_14") || run("fig15") {
-        let reports = workload_changes(if what == "all" {
-            Some(secs.max(7_200.0))
-        } else {
-            None
-        });
-        for (name, r) in &reports {
-            println!(
-                "== Figures 12–14: {name} miss-ratio time series (workload changes) =="
-            );
-            println!(
-                "{:>10} {:>8} {:>8} {:>8}",
-                "t (s)", "served", "missed", "miss %"
-            );
-            for w in &r.windows {
-                println!(
-                    "{:>10.0} {:>8} {:>8} {:>8.1}",
-                    w.t_secs,
-                    w.served,
-                    w.missed,
-                    w.miss_pct()
-                );
-            }
-            println!("overall: {:.1}%", r.miss_pct());
-            for c in &r.classes {
-                println!(
-                    "  class {:<8} served {:>5}  miss {:>5.1}%",
-                    c.name,
-                    c.served,
-                    c.miss_pct()
-                );
-            }
-            if name == "PMM" {
-                println!("== Figure 15: PMM MPL trace (workload changes) ==");
-                for p in &r.trace {
-                    println!(
-                        "{:>10.0} {:>8} {:>10}",
-                        p.at.as_secs_f64(),
-                        p.mode.to_string(),
-                        p.target_mpl.map_or("-".into(), |m| m.to_string())
-                    );
-                }
-            }
-            println!();
-        }
-    }
-
-    if run("fig16") {
-        let rows = fig16(secs);
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 16: Miss Ratio (External Sort)",
-                "rate q/s",
-                &rows,
-                |r| r.miss_pct(),
-                "% missed"
-            )
-        );
-    }
-
-    if run("fig17") || run("fig18") {
-        let rows = multiclass_sweep(secs);
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 17: System Miss Ratio (Multiclass)",
-                "Small q/s",
-                &rows,
-                |r| r.miss_pct(),
-                "% missed"
-            )
-        );
-        println!("== Figure 18: Class Miss Ratios under PMM (Multiclass) ==");
-        println!("{:>10} {:>10} {:>10}", "Small q/s", "Medium %", "Small %");
-        for row in &rows {
-            let pmm = row
-                .reports
-                .iter()
-                .find(|(n, _)| n == "PMM")
-                .expect("PMM ran");
-            let med = pmm.1.classes.first().map_or(0.0, |c| c.miss_pct());
-            let small = pmm.1.classes.get(1).map_or(0.0, |c| c.miss_pct());
-            println!("{:>10.2} {:>10.1} {:>10.1}", row.x, med, small);
-        }
-        println!();
-    }
-
-    if run("util_low") {
-        println!("== Section 5.4: PMM sensitivity to UtilLow (baseline, λ = 0.07) ==");
-        println!("{:>8} {:>10}", "UtilLow", "miss %");
-        for (ul, r) in util_low_sensitivity(secs) {
-            println!("{:>8.2} {:>10.1}", ul, r.miss_pct());
-        }
-        println!();
-    }
-
-    if run("scale") {
-        println!("== Section 5.7: scale-down check (sizes ÷10, rates ×10) ==");
-        println!(
-            "{:<8} {:>12} {:>12}",
-            "policy", "full miss %", "small miss %"
-        );
-        for (name, full, small) in scale_check(secs) {
-            println!(
-                "{:<8} {:>12.1} {:>12.1}",
-                name,
-                full.miss_pct(),
-                small.miss_pct()
-            );
-        }
-        println!();
-    }
-
-    if run("ablation") {
-        println!("== Ablation: firm vs run-to-completion deadlines (PMM, λ = 0.06) ==");
-        for (firm, r) in ablation_firm_deadlines(secs) {
-            println!(
-                "  firm={:<5} miss {:>5.1}%  exec {:>6.1}s  MPL {:>4.1}",
-                firm,
-                r.miss_pct(),
-                r.timings.execution,
-                r.avg_mpl
-            );
-        }
-        println!();
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = if args.iter().any(|a| a == "--figure" || a == "--smoke") {
-        run_driver(&args)
-    } else {
-        run_reports(&args)
-    };
-    match result {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

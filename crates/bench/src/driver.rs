@@ -16,7 +16,7 @@
 //! a pre-sized result table, so a 4-thread run is byte-identical to a serial
 //! run. `tests/driver_determinism.rs` pins that property.
 
-use crate::make_policy_for;
+use crate::{make_policy, Policy};
 use pmm_core::obs;
 use pmm_core::prelude::*;
 use pmm_core::rtdbs::WindowPoint;
@@ -24,16 +24,23 @@ use pmm_core::simkit::metrics::BatchMeans;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Names of the figure experiments the driver knows how to shard. Beyond
-/// the paper's figures, `burst` sweeps MMPP burst ratios, `tenants` sweeps
-/// multi-tenant quota splits, `devices` crosses the storage service models
-/// with the buffer-pool eviction policies, `faults` sweeps fault-storm
-/// intensity × degradation policy, and `scale` sweeps tenant population
-/// 10¹→10³ under incremental vs snapshot reallocation.
+/// Names of the figure experiments `--figure all` runs. Beyond the paper's
+/// figures, `burst` sweeps MMPP burst ratios, `tenants` sweeps multi-tenant
+/// quota splits, `devices` crosses the storage service models with the
+/// buffer-pool eviction policies, `faults` sweeps fault-storm intensity ×
+/// degradation policy, and `scale` sweeps tenant population 10¹→10³ under
+/// incremental vs snapshot reallocation.
 pub const FIGURES: [&str; 11] = [
     "fig3", "fig8", "fig11", "fig12", "fig16", "fig17", "burst", "tenants", "devices",
     "faults", "scale",
 ];
+
+/// Registered figures that run only when named: the crash-tolerance check
+/// and the report-only Section 5 runs (the Figure 6 PMM trace, the `UtilLow`
+/// sensitivity, the firm-deadline ablation, and the Section 5.7 scale-down
+/// check).
+pub const HIDDEN_FIGURES: [&str; 5] =
+    ["crashtest", "fig6", "util_low", "ablation", "scaledown"];
 
 /// Two-sided 90% Student-t quantile (`t_{0.95, df}`) for the given degrees
 /// of freedom. With a handful of replications the normal quantile (1.645)
@@ -56,188 +63,305 @@ pub fn t_quantile_90(df: usize) -> f64 {
     }
 }
 
-/// One experiment cell: a point on a figure's x-axis run under one policy.
-#[derive(Clone, Debug)]
+/// One experiment cell: a point on a figure's x-axis run under one policy,
+/// optionally on another device, under a degradation mode, or pinned to the
+/// full-snapshot allocation path.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CellSpec {
     /// The swept parameter (arrival rate, MinMax N, Small-class rate, ...).
     pub x: f64,
-    /// Policy short name, as accepted by [`crate::make_policy`].
-    pub policy: String,
+    /// The allocation policy.
+    pub policy: Policy,
+    /// Storage device and buffer-pool eviction replacing the figure's
+    /// defaults.
+    pub device: Option<(DeviceSpec, EvictionSpec)>,
+    /// Degradation mode installed as the fault plan's default.
+    pub mode: Option<DegradationMode>,
+    /// Pin the policy to the full-snapshot reference allocation path
+    /// (`pmm::SnapshotOnly`).
+    pub snapshot: bool,
 }
 
-/// A figure experiment: its cells plus how to build each cell's config.
+impl CellSpec {
+    /// A plain cell: `policy` at `x` on the figure's own device.
+    pub const fn new(x: f64, policy: Policy) -> Self {
+        CellSpec {
+            x,
+            policy,
+            device: None,
+            mode: None,
+            snapshot: false,
+        }
+    }
+
+    /// This cell on `device` with `eviction`.
+    pub const fn on(mut self, device: DeviceSpec, eviction: EvictionSpec) -> Self {
+        self.device = Some((device, eviction));
+        self
+    }
+
+    /// This cell under degradation mode `mode`.
+    pub const fn degraded(mut self, mode: DegradationMode) -> Self {
+        self.mode = Some(mode);
+        self
+    }
+
+    /// This cell pinned to the full-snapshot allocation path.
+    pub const fn snapshot(mut self) -> Self {
+        self.snapshot = true;
+        self
+    }
+
+    /// The cell's name in the figure JSON: the policy label behind a
+    /// `"<device>+<eviction>/"`, `"<mode>/"` or `"snapshot/"` prefix
+    /// (`"ssd+lruk/PMM"`, `"requeue/MinMax"`, `"snapshot/Partitioned-soft"`).
+    pub fn label(&self) -> String {
+        let mut out = String::new();
+        if let Some((device, eviction)) = self.device {
+            out.push_str(match device {
+                DeviceSpec::Cylinder => "cyl+",
+                DeviceSpec::Ssd(_) => "ssd+",
+            });
+            out.push_str(match eviction {
+                EvictionSpec::Lru => "lru/",
+                EvictionSpec::LruK { .. } => "lruk/",
+            });
+        }
+        if let Some(mode) = self.mode {
+            out.push_str(&format!("{mode}/"));
+        }
+        if self.snapshot {
+            out.push_str("snapshot/");
+        }
+        out.push_str(&self.policy.label());
+        out
+    }
+
+    /// Build the cell's policy for a run of `sim` (its resolved config).
+    pub fn make_policy(&self, sim: &SimConfig) -> Box<dyn MemoryPolicy> {
+        let policy = make_policy(self.policy, sim);
+        if self.snapshot {
+            Box::new(SnapshotOnly::new(policy))
+        } else {
+            policy
+        }
+    }
+}
+
+/// A figure experiment: its base config and its cells.
 #[derive(Clone, Debug)]
 pub struct FigureSpec {
     /// Figure name ("fig3", ...).
     pub name: &'static str,
     /// Meaning of the x axis, for reports.
     pub x_label: &'static str,
+    /// The base simulation config of the cell at `x`.
+    pub config: fn(f64) -> SimConfig,
     /// The cells, in output order.
     pub cells: Vec<CellSpec>,
 }
 
-fn cross(xs: &[f64], policies: &[&str]) -> Vec<CellSpec> {
+impl FigureSpec {
+    /// The one resolver: `cell`'s full simulation config over `secs`
+    /// simulated seconds — the figure's base config at `cell.x` with the
+    /// cell's device, eviction and degradation mode installed. Seed and
+    /// observability are per replication and left to the caller.
+    pub fn resolve(&self, cell: &CellSpec, secs: f64) -> SimConfig {
+        let mut sim = (self.config)(cell.x);
+        sim.duration_secs = secs;
+        if let Some((device, eviction)) = cell.device {
+            sim = sim.with_device(device).with_eviction(eviction);
+        }
+        if let Some(mode) = cell.mode {
+            sim.faults.default_mode = mode;
+        }
+        sim
+    }
+}
+
+/// Every x crossed with every arm, x-major.
+fn cross<A: Copy + Into<CellSpec>>(xs: &[f64], arms: &[A]) -> Vec<CellSpec> {
     xs.iter()
-        .flat_map(|&x| {
-            policies.iter().map(move |&p| CellSpec {
-                x,
-                policy: p.to_string(),
-            })
-        })
+        .flat_map(|&x| arms.iter().map(move |&a| CellSpec { x, ..a.into() }))
         .collect()
 }
 
-/// Look up a figure by name.
+impl From<Policy> for CellSpec {
+    fn from(policy: Policy) -> Self {
+        CellSpec::new(0.0, policy)
+    }
+}
+
+fn spec(
+    name: &'static str,
+    x_label: &'static str,
+    config: fn(f64) -> SimConfig,
+    cells: Vec<CellSpec>,
+) -> FigureSpec {
+    FigureSpec {
+        name,
+        x_label,
+        config,
+        cells,
+    }
+}
+
+/// Look up a registered figure by name.
 ///
 /// # Errors
 /// Returns the list of known figures if `name` is not one of them.
 pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
-    let spec = match name {
-        "fig3" => FigureSpec {
-            name: "fig3",
-            x_label: "arrival rate (queries/s)",
-            cells: cross(&crate::BASELINE_RATES, &crate::BASELINE_POLICIES),
-        },
-        "fig8" => FigureSpec {
-            name: "fig8",
-            x_label: "arrival rate (queries/s)",
-            cells: cross(
-                &crate::BASELINE_RATES,
-                &["Max", "MinMax", "PMM", "MinMax-2"],
-            ),
-        },
-        "fig11" => FigureSpec {
-            name: "fig11",
-            x_label: "MinMax memory limit N",
-            cells: crate::FIG11_LIMITS
-                .iter()
-                .map(|&n| CellSpec {
-                    x: f64::from(n),
-                    policy: format!("MinMax-{n}"),
-                })
-                .collect(),
-        },
-        "fig12" => FigureSpec {
-            name: "fig12",
-            x_label: "(single alternating workload)",
-            cells: cross(&[0.0], &["Max", "MinMax", "PMM"]),
-        },
-        "fig16" => FigureSpec {
-            name: "fig16",
-            x_label: "arrival rate (queries/s)",
-            cells: cross(&crate::SORT_RATES, &crate::BASELINE_POLICIES),
-        },
-        "fig17" => FigureSpec {
-            name: "fig17",
-            x_label: "Small-class arrival rate (queries/s)",
-            cells: cross(&crate::MULTICLASS_SMALL_RATES, &["Max", "MinMax", "PMM"]),
-        },
-        "burst" => FigureSpec {
-            name: "burst",
-            x_label: "MMPP burst ratio (1 = Poisson control)",
-            cells: cross(&crate::BURST_RATIOS, &crate::BURST_POLICIES),
-        },
-        "tenants" => FigureSpec {
-            name: "tenants",
-            x_label: "analytics-tenant memory fraction",
-            cells: cross(&crate::TENANT_FRACTIONS, &crate::TENANT_POLICIES),
-        },
-        "devices" => FigureSpec {
-            name: "devices",
-            x_label: "arrival rate (queries/s)",
-            // Every device × eviction combination under every policy; the
-            // combo rides in the cell's policy name ("ssd+lruk/PMM") and is
-            // split back out by `apply_device_cell` when the cell runs.
-            cells: crate::DEVICE_RATES
-                .iter()
-                .flat_map(|&x| {
-                    crate::DEVICE_COMBOS.iter().flat_map(move |&combo| {
-                        crate::DEVICE_POLICIES.iter().map(move |&p| CellSpec {
-                            x,
-                            policy: format!("{combo}/{p}"),
-                        })
-                    })
-                })
-                .collect(),
-        },
-        "faults" => FigureSpec {
-            name: "faults",
-            x_label: "fault intensity (0 = fault-free control)",
-            // Degradation mode rides in the cell's policy name
-            // ("requeue/PMM") and is split back out by `apply_fault_cell`
-            // when the cell runs.
-            cells: cross(&crate::FAULT_INTENSITIES, &crate::FAULT_POLICIES),
-        },
-        "scale" => FigureSpec {
-            name: "scale",
-            x_label: "tenant count",
-            // The `snapshot/` prefix pins the reference full-snapshot
-            // allocation path (split back out by `split_snapshot_cell`),
-            // so incremental vs snapshot reallocation is an arm of the
-            // sweep rather than a separate figure.
-            cells: cross(
-                &crate::SCALE_TENANTS.map(|n| n as f64),
-                &crate::SCALE_POLICIES,
-            ),
-        },
-        // Hidden from `FIGURES` (and so from `--figure all`): a tiny sweep
-        // whose middle cell runs the deliberately crashing `panic` policy,
-        // proving end to end that a panicking replication is quarantined
-        // while the neighbouring cells complete.
-        "crashtest" => FigureSpec {
-            name: "crashtest",
-            x_label: "(crashtest cells)",
-            cells: vec![
-                CellSpec {
-                    x: 0.0,
-                    policy: "MinMax".to_string(),
-                },
-                CellSpec {
-                    x: 1.0,
-                    policy: "panic".to_string(),
-                },
-                CellSpec {
-                    x: 2.0,
-                    policy: "MinMax".to_string(),
-                },
-            ],
-        },
-        other => {
-            return Err(format!(
-                "unknown figure {other:?}; known figures: {}",
-                FIGURES.join(", ")
-            ))
+    use Policy::{Max, Panic};
+    const MINMAX: Policy = Policy::MINMAX;
+    const PMM: Policy = Policy::PMM;
+    let rate = "arrival rate (queries/s)";
+    // The Section 5.1 arrival rates (Figures 3–5 and 8–10, Table 7).
+    let rates = [0.04, 0.05, 0.06, 0.07, 0.08];
+    let four = [Max, MINMAX, Policy::PROPORTIONAL, PMM];
+    let three = [Max, MINMAX, PMM];
+    Ok(match name {
+        "fig3" => spec("fig3", rate, SimConfig::baseline, cross(&rates, &four)),
+        // The baseline policies plus the best static MPL limit.
+        "fig8" => {
+            let policies = [Max, MINMAX, PMM, Policy::MinMax { limit: Some(2) }];
+            let cells = cross(&rates, &policies);
+            spec("fig8", rate, SimConfig::disk_contention, cells)
         }
-    };
-    Ok(spec)
-}
-
-/// Build the simulation config for one cell of `figure` (seed and duration
-/// are filled in per replication by the driver).
-fn cell_config(figure: &str, x: f64) -> SimConfig {
-    match figure {
-        "fig3" => SimConfig::baseline(x),
-        "fig8" => SimConfig::disk_contention(x),
-        "fig11" => SimConfig::disk_contention(0.07),
+        "fig11" => {
+            let cells = [2, 3, 4, 6, 8, 10, 15, 20]
+                .map(|n| CellSpec::new(f64::from(n), Policy::MinMax { limit: Some(n) }));
+            let config = |_| SimConfig::disk_contention(0.07);
+            spec("fig11", "MinMax memory limit N", config, cells.to_vec())
+        }
+        // One alternating workload, its miss ratio windowed for Figures
+        // 12–14.
         "fig12" => {
-            let mut cfg = SimConfig::workload_changes();
-            cfg.window_secs = crate::CHANGES_WINDOW_SECS;
-            cfg
+            let config = |_| SimConfig {
+                window_secs: 2_400.0,
+                ..SimConfig::workload_changes()
+            };
+            let x = "(single alternating workload)";
+            spec("fig12", x, config, cross(&[0.0], &three))
         }
-        "fig16" => SimConfig::sorts(x),
-        "fig17" => SimConfig::multiclass(x),
-        "burst" => SimConfig::bursty(x),
-        "tenants" => SimConfig::multi_tenant(x),
-        // The device/eviction choice is per cell, not per figure: it is
-        // applied from the cell's policy name by `apply_device_cell`.
-        "devices" => SimConfig::baseline(x),
-        // x is the fault-storm intensity; the degradation mode is per cell,
-        // applied from the cell's policy name by `apply_fault_cell`.
-        "faults" => SimConfig::faulty(x),
-        "scale" => SimConfig::scale(x as usize),
-        "crashtest" => SimConfig::baseline(0.05),
-        other => unreachable!("figure_spec admitted unknown figure {other}"),
-    }
+        "fig16" => {
+            let cells = cross(&[0.04, 0.06, 0.08, 0.10, 0.12], &four);
+            spec("fig16", rate, SimConfig::sorts, cells)
+        }
+        // Medium fixed at λ = 0.065, the Small class swept.
+        "fig17" => {
+            let cells = cross(&[0.0, 0.2, 0.4, 0.8, 1.2], &three);
+            let x = "Small-class arrival rate (queries/s)";
+            spec("fig17", x, SimConfig::multiclass, cells)
+        }
+        // MMPP burst ratios (1 = the Poisson control) under the static
+        // baselines, v1 PMM, and the regime-aware v2 variant.
+        "burst" => {
+            let policies = [Max, MINMAX, PMM, Policy::PMM_REGIME];
+            let cells = cross(&[1.0, 4.0, 8.0, 16.0], &policies);
+            let x = "MMPP burst ratio (1 = Poisson control)";
+            spec("burst", x, SimConfig::bursty, cells)
+        }
+        // A shared pool as the no-isolation control, hard quotas, soft
+        // quotas with borrow-back, and per-tenant PMM controllers.
+        "tenants" => {
+            let hard = Policy::Partitioned { soft: false };
+            let soft = Policy::Partitioned { soft: true };
+            let cells = cross(
+                &[0.25, 0.5, 0.75],
+                &[MINMAX, hard, soft, Policy::PMM_TENANT],
+            );
+            let x = "analytics-tenant memory fraction";
+            spec("tenants", x, SimConfig::multi_tenant, cells)
+        }
+        // Below and above the cylinder disk's knee: every device × eviction
+        // combination (LRU-2 for LRU-K) under every policy.
+        "devices" => {
+            let ssd = DeviceSpec::Ssd(SsdSpec::default());
+            let (lru, lruk) = (EvictionSpec::Lru, EvictionSpec::LruK { k: 2 });
+            let cyl = DeviceSpec::Cylinder;
+            let arms = [(cyl, lru), (cyl, lruk), (ssd, lru), (ssd, lruk)].map(
+                |(device, eviction)| {
+                    three.map(|p| CellSpec::from(p).on(device, eviction))
+                },
+            );
+            let cells = cross(&[0.05, 0.07], arms.as_flattened());
+            spec("devices", rate, SimConfig::baseline, cells)
+        }
+        // The empty-plan control and a half- and full-strength storm, each
+        // under both degradation modes.
+        "faults" => {
+            let (abort, requeue) = (DegradationMode::Abort, DegradationMode::Requeue);
+            let arms = [MINMAX, PMM]
+                .map(|p| [abort, requeue].map(|m| CellSpec::from(p).degraded(m)));
+            let cells = cross(&[0.0, 0.5, 1.0], arms.as_flattened());
+            let x = "fault intensity (0 = fault-free control)";
+            spec("faults", x, SimConfig::faulty, cells)
+        }
+        // Incremental dirty-set reallocation, the same policy pinned to the
+        // full-snapshot reference path (the control arm), and per-tenant PMM.
+        "scale" => {
+            let soft = CellSpec::from(Policy::Partitioned { soft: true });
+            let arms = [soft, soft.snapshot(), Policy::PMM_TENANT.into()];
+            let cells = cross(&[10.0, 100.0, 1000.0], &arms);
+            let config = |x: f64| SimConfig::scale(x as usize);
+            spec("scale", "tenant count", config, cells)
+        }
+        // A tiny sweep whose middle cell runs the deliberately crashing
+        // `panic` policy, proving end to end that a panicking replication is
+        // quarantined while the neighbouring cells complete.
+        "crashtest" => {
+            let cells = [(0.0, MINMAX), (1.0, Panic), (2.0, MINMAX)]
+                .map(|(x, p)| CellSpec::new(x, p))
+                .to_vec();
+            let config = |_| SimConfig::baseline(0.05);
+            spec("crashtest", "(crashtest cells)", config, cells)
+        }
+        // Figure 6: PMM's target-MPL trace at λ = 0.075.
+        "fig6" => {
+            let cells = vec![CellSpec::new(0.075, PMM)];
+            spec("fig6", rate, SimConfig::baseline, cells)
+        }
+        // Section 5.4: PMM's sensitivity to UtilLow at λ = 0.07.
+        "util_low" => {
+            let cells = [0.50, 0.60, 0.70, 0.80].map(|util_low| {
+                let policy = Policy::Pmm {
+                    regime: false,
+                    util_low: Some(util_low),
+                };
+                CellSpec::new(util_low, policy)
+            });
+            let config = |_| SimConfig::baseline(0.07);
+            spec("util_low", "PMM UtilLow", config, cells.to_vec())
+        }
+        // Firm deadlines against run-to-completion, PMM at λ = 0.06.
+        "ablation" => {
+            let config = |x| SimConfig {
+                firm_deadlines: x == 1.0,
+                ..SimConfig::baseline(0.06)
+            };
+            let x = "firm deadlines (1 = firm, 0 = run to completion)";
+            spec("ablation", x, config, cross(&[1.0, 0.0], &[PMM]))
+        }
+        // Section 5.7: the disk-contention setup at full size and at ×0.1
+        // sizes with ×10 rates must show the same algorithm ordering.
+        "scaledown" => {
+            let config = |x| {
+                if x == 1.0 {
+                    SimConfig::disk_contention(0.05)
+                } else {
+                    SimConfig::scaled_down(0.05)
+                }
+            };
+            let x = "size scale (1 = full, 0.1 = sizes x0.1 and rates x10)";
+            spec("scaledown", x, config, cross(&[1.0, 0.1], &three))
+        }
+        other => {
+            let known: Vec<&str> =
+                FIGURES.iter().chain(&HIDDEN_FIGURES).copied().collect();
+            let known = known.join(", ");
+            return Err(format!("unknown figure {other:?}; known figures: {known}"));
+        }
+    })
 }
 
 /// Driver parameters.
@@ -395,6 +519,33 @@ fn merge_tenants(reports: &[RunReport]) -> Vec<MergedTenant> {
         .collect()
 }
 
+/// One workload class's merged outcome over the replications of a cell.
+#[derive(Clone, Debug)]
+pub struct MergedClass {
+    /// Class label.
+    pub name: String,
+    /// Queries of this class served across replications.
+    pub served: u64,
+    /// Of those, deadline misses.
+    pub missed: u64,
+    /// Class miss ratio (%), mean ± CI over replications.
+    pub miss_pct: MetricSummary,
+}
+
+/// Merge the per-replication class outcomes index-by-index (every
+/// replication of a cell runs the same classes).
+fn merge_classes(reports: &[RunReport]) -> Vec<MergedClass> {
+    let n = reports.first().map_or(0, |r| r.classes.len());
+    (0..n)
+        .map(|j| MergedClass {
+            name: reports[0].classes[j].name.clone(),
+            served: reports.iter().map(|r| r.classes[j].served).sum(),
+            missed: reports.iter().map(|r| r.classes[j].missed).sum(),
+            miss_pct: summarize(reports, |r| r.classes[j].miss_pct()),
+        })
+        .collect()
+}
+
 /// One recorded arrival trace: replication 0's inter-arrival gaps for one
 /// class of one cell, replayable through `workload::Trace` /
 /// `ArrivalSpec::Trace { gaps, repeat: false }`.
@@ -492,6 +643,10 @@ pub struct MergedCell {
     pub windows: Vec<MergedWindow>,
     /// Merged per-tenant aggregates (empty for single-tenant figures).
     pub tenants: Vec<MergedTenant>,
+    /// Merged per-class outcomes. In memory only: the paper-layout reports
+    /// read them (Figures 12–14 and 18), the figure JSON does not carry
+    /// them.
+    pub classes: Vec<MergedClass>,
 }
 
 /// Merge the per-replication window series index-by-index. Replication
@@ -668,12 +823,8 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
     // fully-resolved config (device, eviction, and degradation mode
     // applied) must validate.
     for cell in &spec.cells {
-        let mut sim = cell_config(spec.name, cell.x);
-        sim.duration_secs = cfg.secs;
-        let (sim, rest) = crate::apply_device_cell(sim, &cell.policy);
-        let (sim, _) = crate::apply_fault_cell(sim, &rest);
-        sim.validate().map_err(|e| {
-            format!("invalid config for {figure} cell {:?}: {e}", cell.policy)
+        spec.resolve(cell, cfg.secs).validate().map_err(|e| {
+            format!("invalid config for {figure} cell {:?}: {e}", cell.label())
         })?;
     }
     let seeds: Vec<u64> = (0..cfg.seeds)
@@ -697,8 +848,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
     let run_unit = |unit: usize| {
         let (c, s) = units[unit];
         let cell = &spec.cells[c];
-        let mut sim = cell_config(spec.name, cell.x);
-        sim.duration_secs = cfg.secs;
+        let mut sim = spec.resolve(cell, cfg.secs);
         sim.seed = seeds[s];
         // Traces are per cell, not per replication: replication 0 is the
         // canonical recording (its seed derivation is stable).
@@ -718,17 +868,12 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         }
         sim.obs.metrics = cfg.trace || cfg.metrics;
         sim.obs.profile = cfg.profile;
-        // Device-sweep cells fold a device × eviction choice into the
-        // policy name, fault-sweep cells a degradation mode; all other
-        // cells pass through unchanged.
-        let (sim, rest) = crate::apply_device_cell(sim, &cell.policy);
-        let (sim, policy_name) = crate::apply_fault_cell(sim, &rest);
         let started = std::time::Instant::now();
         // A panicking replication (crashing policy, engine invariant blown
         // on a hostile config) is caught here on its own worker: the unit
         // quarantines, the sweep survives.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let policy = make_policy_for(&sim, &policy_name);
+            let policy = cell.make_policy(&sim);
             run_simulation(sim, policy)
         }));
         let wall = started.elapsed().as_secs_f64();
@@ -772,6 +917,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         .iter()
         .enumerate()
         .map(|(c, cell)| {
+            let policy = cell.label();
             let mut wall_secs = 0.0;
             // Panicked replications drop out of the per-cell report set and
             // land in the quarantine instead, in cell-major / replication-
@@ -789,7 +935,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                     Err(message) => quarantine.push(QuarantinedUnit {
                         cell: c,
                         x: cell.x,
-                        policy: cell.policy.clone(),
+                        policy: policy.clone(),
                         rep: s as u64,
                         seed: seeds[s],
                         message: message.clone(),
@@ -802,7 +948,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                         traces.push(RecordedTrace {
                             cell: c,
                             x: cell.x,
-                            policy: cell.policy.clone(),
+                            policy: policy.clone(),
                             class,
                             gaps: gaps.clone(),
                         });
@@ -837,7 +983,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                     pmm_traces.push(RecordedPmmTrace {
                         cell: c,
                         x: cell.x,
-                        policy: cell.policy.clone(),
+                        policy: policy.clone(),
                         points,
                     });
                 }
@@ -849,7 +995,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                     obs_traces.push(RecordedObsTrace {
                         cell: c,
                         x: cell.x,
-                        policy: cell.policy.clone(),
+                        policy: policy.clone(),
                         records: first.obs_trace.clone(),
                     });
                 }
@@ -860,7 +1006,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                 metrics.push(CellMetrics {
                     cell: c,
                     x: cell.x,
-                    policy: cell.policy.clone(),
+                    policy: policy.clone(),
                     metrics: obs::MetricsReport::merge(&per_seed),
                 });
             }
@@ -874,13 +1020,13 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
             }
             perf.cells.push(CellPerf {
                 x: cell.x,
-                policy: cell.policy.clone(),
+                policy: policy.clone(),
                 events: reports.iter().map(|r| r.events).sum(),
                 wall_secs,
             });
             MergedCell {
                 x: cell.x,
-                policy: cell.policy.clone(),
+                policy,
                 replications: reports.len() as u64,
                 served: reports.iter().map(|r| r.served).sum(),
                 missed: reports.iter().map(|r| r.missed).sum(),
@@ -894,6 +1040,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                 avg_fluctuations: summarize(&reports, |r| r.avg_fluctuations),
                 windows: merge_windows(&reports),
                 tenants: merge_tenants(&reports),
+                classes: merge_classes(&reports),
             }
         })
         .collect();
@@ -1330,11 +1477,18 @@ impl FigureResult {
 mod tests {
     use super::*;
 
+    /// Every registered figure, hidden ones included.
+    fn registered() -> impl Iterator<Item = FigureSpec> {
+        FIGURES
+            .iter()
+            .chain(&HIDDEN_FIGURES)
+            .map(|f| figure_spec(f).expect("known figure"))
+    }
+
     #[test]
     fn figure_spec_knows_all_figures() {
-        for f in FIGURES {
-            let spec = figure_spec(f).expect("known figure");
-            assert!(!spec.cells.is_empty(), "{f} has cells");
+        for spec in registered() {
+            assert!(!spec.cells.is_empty(), "{} has cells", spec.name);
         }
         assert!(figure_spec("fig99").is_err());
     }
@@ -1342,38 +1496,53 @@ mod tests {
     #[test]
     fn devices_figure_crosses_devices_evictions_and_policies() {
         let spec = figure_spec("devices").expect("known figure");
-        assert_eq!(
-            spec.cells.len(),
-            crate::DEVICE_RATES.len()
-                * crate::DEVICE_COMBOS.len()
-                * crate::DEVICE_POLICIES.len()
-        );
-        // Every cell name splits back into a device, an eviction policy,
-        // and a known allocation policy.
-        for cell in &spec.cells {
-            let (_, _, p) =
-                crate::split_device_cell(&cell.policy).expect("device cell name");
-            assert!(crate::DEVICE_POLICIES.contains(&p), "known policy {p}");
-        }
-        // The acceptance grid is present: cylinder vs SSD × LRU vs LRU-K.
-        for combo in crate::DEVICE_COMBOS {
+        // Two rates × cylinder and SSD × LRU and LRU-K × Max, MinMax, PMM:
+        // every combination exactly once.
+        assert_eq!(spec.cells.len(), 2 * 2 * 2 * 3);
+        for (i, a) in spec.cells.iter().enumerate() {
             assert!(
-                spec.cells.iter().any(|c| c.policy.starts_with(combo)),
-                "combo {combo} covered"
+                a.device.is_some(),
+                "{} runs on an explicit device",
+                a.label()
             );
+            assert!(!spec.cells[..i].contains(a), "{} is unique", a.label());
         }
+        let ssd = |c: &&CellSpec| matches!(c.device, Some((DeviceSpec::Ssd(_), _)));
+        let lruk =
+            |c: &&CellSpec| matches!(c.device, Some((_, EvictionSpec::LruK { k: 2 })));
+        assert_eq!(spec.cells.iter().filter(ssd).count(), 12);
+        assert_eq!(spec.cells.iter().filter(lruk).count(), 12);
+    }
+
+    #[test]
+    fn snapshot_cells_pin_the_full_snapshot_path() {
+        let spec = figure_spec("scale").expect("known figure");
+        let soft = CellSpec::new(4.0, Policy::Partitioned { soft: true });
+        let sim = spec.resolve(&soft, 600.0);
+        let wrapped = soft.snapshot().make_policy(&sim);
+        assert_eq!(soft.snapshot().label(), "snapshot/Partitioned-soft");
+        assert_eq!(wrapped.name(), "snapshot/Partitioned-soft");
+        assert!(
+            !wrapped.supports_dirty_allocation(),
+            "the snapshot wrapper pins the full-snapshot path"
+        );
+        assert!(
+            soft.make_policy(&sim).supports_dirty_allocation(),
+            "the unwrapped partitioned policy takes the incremental path"
+        );
     }
 
     #[test]
     fn run_figure_validates_cells_before_spawning() {
-        // All shipped figures pass validation with sane driver settings...
-        for f in FIGURES {
-            let spec = figure_spec(f).expect("known figure");
+        // Every registered figure validates through the run path's resolver
+        // with sane driver settings, and builds its cells' policies...
+        for spec in registered() {
             for cell in &spec.cells {
-                let mut sim = cell_config(spec.name, cell.x);
-                sim.duration_secs = 600.0;
-                let (sim, _) = crate::apply_device_cell(sim, &cell.policy);
-                sim.validate().expect("shipped cells validate");
+                let sim = spec.resolve(cell, 600.0);
+                sim.validate().unwrap_or_else(|e| {
+                    panic!("{} cell {} must validate: {e}", spec.name, cell.label())
+                });
+                cell.make_policy(&sim);
             }
         }
         // ...and a degenerate duration is rejected up front, not mid-run.

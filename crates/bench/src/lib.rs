@@ -1,47 +1,160 @@
 //! `bench` — the experiment harness: one reproducible experiment per table
 //! and figure of the paper's Section 5.
 //!
-//! Each `fig*` / `table*` function runs the simulations behind the
-//! corresponding artifact and returns structured rows; the `experiments`
-//! binary prints them in the paper's layout, and the Criterion benches time
-//! representative slices.
+//! [`driver`] holds the figure registry: every figure is one
+//! [`driver::FigureSpec`] whose typed [`driver::CellSpec`]s name a
+//! [`Policy`] plus an optional device, degradation mode and snapshot arm.
+//! The driver runs a figure's cells over independently seeded replications
+//! and merges them; [`report`] renders a merged figure in the paper's
+//! table layout, and the `figures` Criterion bench times a short slice of
+//! one cell per figure.
 //!
 //! Scaling note: wall-clock cost grows with simulated duration, so every
-//! experiment takes a `secs` parameter. Passing `PAPER_SECS` (10 simulated
-//! hours, the paper's setting) reproduces the published measurement
-//! protocol; the CI-friendly default in the binary is one simulated hour.
+//! run takes a horizon. Passing `PAPER_SECS` (10 simulated hours, the
+//! paper's setting) reproduces the published measurement protocol; the
+//! CI-friendly default in the binary is one simulated hour.
 
-use pmm_core::pmm::TenantPmm;
+use pmm_core::pmm::adaptive::REGIME_WINDOW_BATCHES;
 use pmm_core::prelude::*;
 
 pub mod driver;
+pub mod report;
 
 /// The paper's run length: 10 simulated hours.
 pub const PAPER_SECS: f64 = 36_000.0;
 
-/// Construct a policy by short name.
+/// A memory-allocation policy of the experiments, as data. [`make_policy`]
+/// builds it; [`Policy::label`] renders the name the figure JSON carries.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Policy {
+    /// Max: every admitted query gets its maximum demand.
+    Max,
+    /// MinMax-N (`None` = MinMax-∞).
+    MinMax {
+        /// MPL limit N.
+        limit: Option<u32>,
+    },
+    /// Proportional-N (`None` = unlimited).
+    Proportional {
+        /// MPL limit N.
+        limit: Option<u32>,
+    },
+    /// PMM, optionally regime-aware (v2), with an optional `UtilLow`
+    /// override of the Table 1 default.
+    Pmm {
+        /// Segment learned batches at detected regime switches.
+        regime: bool,
+        /// Lower edge of the desirable utilization range.
+        util_low: Option<f64>,
+    },
+    /// MinMax per tenant partition, with the config's quotas; `soft` lets
+    /// every partition borrow idle pages.
+    Partitioned {
+        /// Soften every quota.
+        soft: bool,
+    },
+    /// One PMM controller per tenant partition (PMM v2).
+    PmmTenant {
+        /// Regime-aware controllers.
+        regime: bool,
+    },
+    /// [`PanicPolicy`], for the `crashtest` figure.
+    Panic,
+}
+
+impl Policy {
+    /// MinMax-∞.
+    pub const MINMAX: Policy = Policy::MinMax { limit: None };
+    /// Unlimited Proportional.
+    pub const PROPORTIONAL: Policy = Policy::Proportional { limit: None };
+    /// PMM with the Table 1 defaults.
+    pub const PMM: Policy = Policy::Pmm {
+        regime: false,
+        util_low: None,
+    };
+    /// Regime-aware PMM.
+    pub const PMM_REGIME: Policy = Policy::Pmm {
+        regime: true,
+        util_low: None,
+    };
+    /// Per-tenant PMM.
+    pub const PMM_TENANT: Policy = Policy::PmmTenant { regime: false };
+
+    /// The policy's cell name: `"MinMax-2"`, `"PMM-regime"`,
+    /// `"Partitioned-soft"`, ... A `util_low` override is not part of the
+    /// name: the `util_low` figure sweeps it as its x axis.
+    pub fn label(&self) -> String {
+        let limited = |name: &str, limit: Option<u32>| match limit {
+            Some(n) => format!("{name}-{n}"),
+            None => name.to_string(),
+        };
+        match *self {
+            Policy::Max => "Max".into(),
+            Policy::MinMax { limit } => limited("MinMax", limit),
+            Policy::Proportional { limit } => limited("Proportional", limit),
+            Policy::Pmm { regime: false, .. } => "PMM".into(),
+            Policy::Pmm { regime: true, .. } => "PMM-regime".into(),
+            Policy::Partitioned { soft: false } => "Partitioned".into(),
+            Policy::Partitioned { soft: true } => "Partitioned-soft".into(),
+            Policy::PmmTenant { regime: false } => "PMM-tenant".into(),
+            Policy::PmmTenant { regime: true } => "PMM-tenant-regime".into(),
+            Policy::Panic => "panic".into(),
+        }
+    }
+}
+
+/// Build `policy` for a run of `cfg`. The tenant-aware policies take their
+/// partitions from `cfg.tenants`: `Partitioned { soft: false }` enforces
+/// the quotas as declared, `soft: true` lets every partition borrow.
 ///
 /// # Panics
-/// Panics on an unknown name.
-pub fn make_policy(name: &str) -> Box<dyn MemoryPolicy> {
-    if let Some(n) = name.strip_prefix("MinMax-") {
-        return Box::new(pmm_core::pmm::MinMaxPolicy::with_limit(
-            n.parse().expect("numeric MinMax limit"),
-        ));
-    }
-    if let Some(n) = name.strip_prefix("Proportional-") {
-        return Box::new(pmm_core::pmm::ProportionalPolicy::with_limit(
-            n.parse().expect("numeric Proportional limit"),
-        ));
-    }
-    match name {
-        "Max" => Box::new(MaxPolicy),
-        "MinMax" => Box::new(pmm_core::pmm::MinMaxPolicy::unlimited()),
-        "Proportional" => Box::new(ProportionalPolicy::unlimited()),
-        "PMM" => Box::new(Pmm::with_defaults()),
-        "PMM-regime" => Box::new(Pmm::regime_aware()),
-        "panic" => Box::new(PanicPolicy),
-        other => panic!("unknown policy {other}"),
+/// Panics on a tenant-aware policy against a config with no tenants.
+pub fn make_policy(policy: Policy, cfg: &SimConfig) -> Box<dyn MemoryPolicy> {
+    let partitions = || -> Vec<PartitionSpec> {
+        assert!(
+            !cfg.tenants.is_empty(),
+            "policy {} needs tenants in the SimConfig",
+            policy.label()
+        );
+        cfg.tenants
+            .iter()
+            .map(|t| PartitionSpec {
+                quota: t.quota_pages,
+                soft: t.soft,
+            })
+            .collect()
+    };
+    match policy {
+        Policy::Max => Box::new(MaxPolicy),
+        Policy::MinMax { limit: None } => Box::new(MinMaxPolicy::unlimited()),
+        Policy::MinMax { limit: Some(n) } => Box::new(MinMaxPolicy::with_limit(n)),
+        Policy::Proportional { limit: None } => Box::new(ProportionalPolicy::unlimited()),
+        Policy::Proportional { limit: Some(n) } => {
+            Box::new(ProportionalPolicy::with_limit(n))
+        }
+        Policy::Pmm { regime, util_low } => {
+            let defaults = PmmParams::default();
+            let params = PmmParams {
+                util_low: util_low.unwrap_or(defaults.util_low),
+                ..defaults
+            };
+            Box::new(if regime {
+                Pmm::with_regime(params, REGIME_WINDOW_BATCHES)
+            } else {
+                Pmm::new(params)
+            })
+        }
+        Policy::Partitioned { soft: false } => {
+            Box::new(PartitionedPolicy::new(partitions()))
+        }
+        Policy::Partitioned { soft: true } => {
+            Box::new(PartitionedPolicy::new(partitions()).soften())
+        }
+        Policy::PmmTenant { regime: false } => Box::new(TenantPmm::new(partitions())),
+        Policy::PmmTenant { regime: true } => {
+            Box::new(TenantPmm::new(partitions()).regime_aware())
+        }
+        Policy::Panic => Box::new(PanicPolicy),
     }
 }
 
@@ -73,505 +186,77 @@ impl MemoryPolicy for PanicPolicy {
     }
 }
 
-/// Construct a policy by short name, resolving the tenant-aware names
-/// against `cfg.tenants`: `"Partitioned"` enforces the config's quotas as
-/// declared (hard unless the spec says otherwise), `"Partitioned-soft"`
-/// lets every partition borrow idle pages, and `"PMM-tenant"` /
-/// `"PMM-tenant-regime"` run one (optionally regime-aware) PMM controller
-/// per partition (PMM v2). Device-sweep cell names
-/// (`"<combo>/<policy>"`, see [`split_device_cell`]) resolve to their
-/// inner allocation policy — the device part only shapes the config —
-/// and `"snapshot/<policy>"` cells wrap the inner policy in
-/// [`SnapshotOnly`], pinning it to the full-snapshot allocation
-/// path (see [`split_snapshot_cell`]). All other names defer to
-/// [`make_policy`].
-///
-/// # Panics
-/// Panics on an unknown name, or a tenant-aware name against a config
-/// with no tenants.
-pub fn make_policy_for(cfg: &SimConfig, name: &str) -> Box<dyn MemoryPolicy> {
-    if let Some((_, _, policy)) = split_device_cell(name) {
-        return make_policy_for(cfg, policy);
-    }
-    if let Some((_, policy)) = split_fault_cell(name) {
-        return make_policy_for(cfg, policy);
-    }
-    if let Some(policy) = split_snapshot_cell(name) {
-        return Box::new(SnapshotOnly::new(make_policy_for(cfg, policy)));
-    }
-    let partitions = || -> Vec<PartitionSpec> {
-        assert!(
-            !cfg.tenants.is_empty(),
-            "policy {name} needs tenants in the SimConfig"
-        );
-        cfg.tenants
-            .iter()
-            .map(|t| PartitionSpec {
-                quota: t.quota_pages,
-                soft: t.soft,
-            })
-            .collect()
-    };
-    match name {
-        "Partitioned" => Box::new(PartitionedPolicy::new(partitions())),
-        "Partitioned-soft" => Box::new(PartitionedPolicy::new(partitions()).soften()),
-        "PMM-tenant" => Box::new(TenantPmm::new(partitions())),
-        "PMM-tenant-regime" => Box::new(TenantPmm::new(partitions()).regime_aware()),
-        other => make_policy(other),
-    }
-}
-
-/// One row of a sweep: an x value plus one report per policy.
-pub struct SweepRow {
-    /// The swept parameter (arrival rate, N, ...).
-    pub x: f64,
-    /// `(policy name, report)` pairs.
-    pub reports: Vec<(String, RunReport)>,
-}
-
-fn sweep<F: Fn(f64) -> SimConfig>(
-    xs: &[f64],
-    policies: &[&str],
-    secs: f64,
-    cfg_of: F,
-) -> Vec<SweepRow> {
-    xs.iter()
-        .map(|&x| SweepRow {
-            x,
-            reports: policies
-                .iter()
-                .map(|&p| {
-                    let mut cfg = cfg_of(x);
-                    cfg.duration_secs = secs;
-                    (p.to_string(), run_simulation(cfg, make_policy(p)))
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// Arrival rates of the baseline sweep (Figures 3–5, Table 7).
-pub const BASELINE_RATES: [f64; 5] = [0.04, 0.05, 0.06, 0.07, 0.08];
-/// The four algorithms of the baseline experiment.
-pub const BASELINE_POLICIES: [&str; 4] = ["Max", "MinMax", "Proportional", "PMM"];
-/// MinMax memory limits of the Figure 11 sweep.
-pub const FIG11_LIMITS: [u32; 8] = [2, 3, 4, 6, 8, 10, 15, 20];
-/// Arrival rates of the external-sort sweep (Figure 16).
-pub const SORT_RATES: [f64; 5] = [0.04, 0.06, 0.08, 0.10, 0.12];
-/// Small-class arrival rates of the multiclass sweep (Figures 17–18).
-pub const MULTICLASS_SMALL_RATES: [f64; 5] = [0.0, 0.2, 0.4, 0.8, 1.2];
-/// Window length (simulated seconds) of the workload-changes miss-ratio
-/// time series (Figures 12–14).
-pub const CHANGES_WINDOW_SECS: f64 = 2_400.0;
-/// MMPP burst ratios of the bursty-arrivals sweep (1 = the Poisson
-/// control cell).
-pub const BURST_RATIOS: [f64; 4] = [1.0, 4.0, 8.0, 16.0];
-/// The policies of the bursty-arrivals experiment: the static baselines,
-/// v1 PMM (stationary projection), and the regime-aware v2 variant that
-/// segments its learned batches at detected MMPP state switches.
-pub const BURST_POLICIES: [&str; 4] = ["Max", "MinMax", "PMM", "PMM-regime"];
-/// Arrival rates of the device sweep: one below and one above the
-/// cylinder disk's saturation knee, so the SSD's headroom is visible.
-pub const DEVICE_RATES: [f64; 2] = [0.05, 0.07];
-/// Device × eviction combinations of the device sweep.
-pub const DEVICE_COMBOS: [&str; 4] = ["cyl+lru", "cyl+lruk", "ssd+lru", "ssd+lruk"];
-/// The allocation policies crossed with each device combination.
-pub const DEVICE_POLICIES: [&str; 3] = ["Max", "MinMax", "PMM"];
-/// History depth of the LRU-K cells in the device sweep (LRU-2, the
-/// classic O'Neil et al. setting).
-pub const DEVICE_LRUK_K: u32 = 2;
-
-/// Split a device-sweep cell name `"<combo>/<policy>"` (e.g.
-/// `"ssd+lruk/PMM"`) into its device, eviction policy, and allocation
-/// policy name. Returns `None` for plain policy names, which keeps every
-/// other figure's cells flowing through untouched.
-pub fn split_device_cell(name: &str) -> Option<(DeviceSpec, EvictionSpec, &str)> {
-    let (combo, policy) = name.split_once('/')?;
-    let (device, eviction) = combo.split_once('+')?;
-    let device = match device {
-        "cyl" => DeviceSpec::Cylinder,
-        "ssd" => DeviceSpec::Ssd(SsdSpec::default()),
-        _ => return None,
-    };
-    let eviction = match eviction {
-        "lru" => EvictionSpec::Lru,
-        "lruk" => EvictionSpec::LruK { k: DEVICE_LRUK_K },
-        _ => return None,
-    };
-    Some((device, eviction, policy))
-}
-
-/// Apply a device-sweep cell name to a config: returns the config with the
-/// cell's device and eviction policy installed, plus the allocation-policy
-/// name left over. Non-device names pass through as the identity.
-pub fn apply_device_cell(cfg: SimConfig, name: &str) -> (SimConfig, String) {
-    match split_device_cell(name) {
-        Some((device, eviction, policy)) => (
-            cfg.with_device(device).with_eviction(eviction),
-            policy.to_string(),
-        ),
-        None => (cfg, name.to_string()),
-    }
-}
-
-/// Fault intensities of the faults sweep: the empty-plan control cell plus
-/// a half- and a full-strength storm (see `FaultPlan::scaled`).
-pub const FAULT_INTENSITIES: [f64; 3] = [0.0, 0.5, 1.0];
-/// Degradation-mode × allocation-policy cells of the faults sweep.
-pub const FAULT_POLICIES: [&str; 4] =
-    ["abort/MinMax", "requeue/MinMax", "abort/PMM", "requeue/PMM"];
-
-/// Split a faults-sweep cell name `"<mode>/<policy>"` (e.g.
-/// `"requeue/PMM"`) into its degradation mode and allocation-policy name.
-/// Returns `None` for plain policy names and for device cells (their combo
-/// part is never a mode name), so every other figure's cells pass through
-/// untouched.
-pub fn split_fault_cell(name: &str) -> Option<(DegradationMode, &str)> {
-    let (mode, policy) = name.split_once('/')?;
-    let mode = match mode {
-        "abort" => DegradationMode::Abort,
-        "requeue" => DegradationMode::Requeue,
-        _ => return None,
-    };
-    Some((mode, policy))
-}
-
-/// Apply a faults-sweep cell name to a config: installs the cell's
-/// degradation mode as the plan's default and returns the allocation-policy
-/// name left over. Non-fault names pass through as the identity.
-pub fn apply_fault_cell(mut cfg: SimConfig, name: &str) -> (SimConfig, String) {
-    match split_fault_cell(name) {
-        Some((mode, policy)) => {
-            cfg.faults.default_mode = mode;
-            (cfg, policy.to_string())
-        }
-        None => (cfg, name.to_string()),
-    }
-}
-
-/// Tenant counts of the scale figure's 10¹ → 10³ sweep.
-pub const SCALE_TENANTS: [usize; 3] = [10, 100, 1000];
-/// The policies of the scale figure: incremental dirty-set allocation,
-/// the same policy pinned to the full-snapshot reference path (the
-/// `snapshot/` control arm), and the adaptive per-tenant controllers.
-pub const SCALE_POLICIES: [&str; 3] = [
-    "Partitioned-soft",
-    "snapshot/Partitioned-soft",
-    "PMM-tenant",
-];
-
-/// Split a scale-figure cell name `"snapshot/<policy>"` into the wrapped
-/// allocation-policy name. The `snapshot/` prefix pins the policy to the
-/// full-snapshot reference allocation path (`pmm::SnapshotOnly`) — the
-/// control arm of the incremental-reallocation comparison. Returns `None`
-/// for every other name, including device (`ssd+lruk/…`) and fault
-/// (`requeue/…`) cells.
-pub fn split_snapshot_cell(name: &str) -> Option<&str> {
-    name.strip_prefix("snapshot/")
-}
-
-/// Analytics-tenant memory fractions of the multi-tenant sweep.
-pub const TENANT_FRACTIONS: [f64; 3] = [0.25, 0.5, 0.75];
-/// The policies of the multi-tenant experiment: a shared pool as the
-/// no-isolation control, hard quotas, soft quotas with borrow-back, and
-/// the adaptive per-tenant PMM controllers of v2.
-pub const TENANT_POLICIES: [&str; 4] =
-    ["MinMax", "Partitioned", "Partitioned-soft", "PMM-tenant"];
-
-/// Figures 3, 4, 5 and Table 7 share one set of runs: the Section 5.1
-/// baseline sweep (memory is the bottleneck; 10 disks).
-pub fn baseline_sweep(secs: f64) -> Vec<SweepRow> {
-    sweep(
-        &BASELINE_RATES,
-        &BASELINE_POLICIES,
-        secs,
-        SimConfig::baseline,
-    )
-}
-
-/// Figure 6: PMM's target-MPL trace at λ = 0.075.
-pub fn fig6(secs: f64) -> RunReport {
-    let mut cfg = SimConfig::baseline(0.075);
-    cfg.duration_secs = secs;
-    run_simulation(cfg, make_policy("PMM"))
-}
-
-/// Figures 8, 9, 10: the moderate-disk-contention sweep (6 disks), adding
-/// the MinMax-N reference that performs best there.
-pub fn contention_sweep(secs: f64, best_n: u32) -> Vec<SweepRow> {
-    let best = format!("MinMax-{best_n}");
-    let policies: Vec<&str> = vec!["Max", "MinMax", "PMM", &best];
-    sweep(&BASELINE_RATES, &policies, secs, SimConfig::disk_contention)
-}
-
-/// Figure 11: miss ratio of MinMax-N against N at λ = 0.07, 6 disks.
-pub fn fig11(secs: f64, ns: &[u32]) -> Vec<(u32, RunReport)> {
-    ns.iter()
-        .map(|&n| {
-            let mut cfg = SimConfig::disk_contention(0.07);
-            cfg.duration_secs = secs;
-            (n, run_simulation(cfg, make_policy(&format!("MinMax-{n}"))))
-        })
-        .collect()
-}
-
-/// Figures 12–15: the alternating Small/Medium workload (Section 5.3).
-/// Returns `(policy, report)` for Max, MinMax and PMM; the report's
-/// `windows` field is the miss-ratio time series and `trace` the PMM MPL
-/// trace (Figure 15).
-pub fn workload_changes(secs: Option<f64>) -> Vec<(String, RunReport)> {
-    ["Max", "MinMax", "PMM"]
-        .iter()
-        .map(|&p| {
-            let mut cfg = SimConfig::workload_changes();
-            if let Some(s) = secs {
-                cfg.duration_secs = s;
-            }
-            cfg.window_secs = CHANGES_WINDOW_SECS;
-            (p.to_string(), run_simulation(cfg, make_policy(p)))
-        })
-        .collect()
-}
-
-/// Figure 16: the external-sort workload sweep (Section 5.5).
-pub fn fig16(secs: f64) -> Vec<SweepRow> {
-    sweep(&SORT_RATES, &BASELINE_POLICIES, secs, SimConfig::sorts)
-}
-
-/// Figures 17 and 18: the multiclass experiment (Section 5.6) — Medium
-/// fixed at λ = 0.065, Small swept; 12 disks.
-pub fn multiclass_sweep(secs: f64) -> Vec<SweepRow> {
-    sweep(
-        &MULTICLASS_SMALL_RATES,
-        &["Max", "MinMax", "PMM"],
-        secs,
-        SimConfig::multiclass,
-    )
-}
-
-/// Section 5.4: PMM sensitivity to `UtilLow`.
-pub fn util_low_sensitivity(secs: f64) -> Vec<(f64, RunReport)> {
-    [0.50, 0.60, 0.70, 0.80]
-        .iter()
-        .map(|&ul| {
-            let mut cfg = SimConfig::baseline(0.07);
-            cfg.duration_secs = secs;
-            let params = PmmParams {
-                util_low: ul,
-                ..PmmParams::default()
-            };
-            (ul, run_simulation(cfg, Box::new(Pmm::new(params))))
-        })
-        .collect()
-}
-
-/// Section 5.7: the scale-down check — disk-contention setup at ×0.1 sizes
-/// and ×10 rates must show the same algorithm ordering.
-pub fn scale_check(secs: f64) -> Vec<(String, RunReport, RunReport)> {
-    ["Max", "MinMax", "PMM"]
-        .iter()
-        .map(|&p| {
-            let mut full = SimConfig::disk_contention(0.05);
-            full.duration_secs = secs;
-            let mut small = SimConfig::scaled_down(0.05);
-            small.duration_secs = secs / 5.0; // 10× rate needs less time
-            (
-                p.to_string(),
-                run_simulation(full, make_policy(p)),
-                run_simulation(small, make_policy(p)),
-            )
-        })
-        .collect()
-}
-
-/// Ablation: PMM with a cubic (instead of quadratic) projection is not
-/// modelled as a separate policy — the quadratic-vs-cubic stabilization
-/// claim is exercised directly on synthetic curves in `stats`; this ablation
-/// instead compares PMM against PMM-without-RU... kept simple: firm vs
-/// soft deadlines (the run-to-completion ablation flagged in DESIGN.md).
-pub fn ablation_firm_deadlines(secs: f64) -> Vec<(bool, RunReport)> {
-    [true, false]
-        .iter()
-        .map(|&firm| {
-            let mut cfg = SimConfig::baseline(0.06);
-            cfg.duration_secs = secs;
-            cfg.firm_deadlines = firm;
-            (firm, run_simulation(cfg, make_policy("PMM")))
-        })
-        .collect()
-}
-
-/// Render a sweep as a fixed-width table of one metric.
-pub fn render_sweep<M: Fn(&RunReport) -> f64>(
-    title: &str,
-    x_label: &str,
-    rows: &[SweepRow],
-    metric: M,
-    unit: &str,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    let names: Vec<&str> = rows
-        .first()
-        .map(|r| r.reports.iter().map(|(n, _)| n.as_str()).collect())
-        .unwrap_or_default();
-    let _ = write!(out, "{x_label:>10}");
-    for n in &names {
-        let _ = write!(out, " {n:>14}");
-    }
-    let _ = writeln!(out, "   ({unit})");
-    for row in rows {
-        let _ = write!(out, "{:>10.3}", row.x);
-        for (_, report) in &row.reports {
-            let _ = write!(out, " {:>14.2}", metric(report));
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn make_policy_parses_names() {
-        assert_eq!(make_policy("Max").name(), "Max");
-        assert_eq!(make_policy("MinMax").name(), "MinMax");
-        assert_eq!(make_policy("MinMax-10").name(), "MinMax-10");
-        assert_eq!(make_policy("Proportional-5").name(), "Proportional-5");
-        assert_eq!(make_policy("PMM").name(), "PMM");
+    fn make_policy_builds_named_policies() {
+        let cfg = SimConfig::baseline(0.05);
+        for (policy, name) in [
+            (Policy::Max, "Max"),
+            (Policy::MINMAX, "MinMax"),
+            (Policy::MinMax { limit: Some(10) }, "MinMax-10"),
+            (Policy::Proportional { limit: Some(5) }, "Proportional-5"),
+            (Policy::PMM, "PMM"),
+            (Policy::PMM_REGIME, "PMM-regime"),
+        ] {
+            assert_eq!(policy.label(), name);
+            assert_eq!(make_policy(policy, &cfg).name(), name);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "unknown policy")]
-    fn make_policy_rejects_garbage() {
-        make_policy("Random");
-    }
-
-    #[test]
-    fn make_policy_for_builds_partitions_from_tenants() {
+    fn make_policy_builds_partitions_from_tenants() {
         let cfg = SimConfig::multi_tenant(0.5);
-        assert_eq!(make_policy_for(&cfg, "Partitioned").name(), "Partitioned");
-        assert_eq!(
-            make_policy_for(&cfg, "Partitioned-soft").name(),
-            "Partitioned-soft"
-        );
-        // Non-partitioned names defer to make_policy even with tenants set.
-        assert_eq!(make_policy_for(&cfg, "PMM").name(), "PMM");
+        for policy in [
+            Policy::Partitioned { soft: false },
+            Policy::Partitioned { soft: true },
+            Policy::PMM_TENANT,
+        ] {
+            assert_eq!(make_policy(policy, &cfg).name(), policy.label());
+        }
     }
 
     #[test]
     #[should_panic(expected = "needs tenants")]
-    fn make_policy_for_rejects_partitioned_without_tenants() {
-        make_policy_for(&SimConfig::baseline(0.05), "Partitioned");
-    }
-
-    #[test]
-    fn device_cell_names_round_trip() {
-        use pmm_core::storage::{DeviceSpec, EvictionSpec};
-        let (dev, ev, p) = split_device_cell("ssd+lruk/PMM").expect("device cell");
-        assert!(matches!(dev, DeviceSpec::Ssd(_)));
-        assert_eq!(ev, EvictionSpec::LruK { k: DEVICE_LRUK_K });
-        assert_eq!(p, "PMM");
-        let (dev, ev, p) = split_device_cell("cyl+lru/MinMax").expect("device cell");
-        assert_eq!(dev, DeviceSpec::Cylinder);
-        assert_eq!(ev, EvictionSpec::Lru);
-        assert_eq!(p, "MinMax");
-        // Plain policy names and malformed combos pass through as None.
-        assert!(split_device_cell("PMM").is_none());
-        assert!(split_device_cell("MinMax-10").is_none());
-        assert!(split_device_cell("tape+lru/PMM").is_none());
-        assert!(split_device_cell("ssd+fifo/PMM").is_none());
+    fn make_policy_rejects_partitioned_without_tenants() {
+        make_policy(
+            Policy::Partitioned { soft: false },
+            &SimConfig::baseline(0.05),
+        );
     }
 
     #[test]
     fn apply_device_cell_installs_device_and_eviction() {
-        use pmm_core::storage::{DeviceSpec, EvictionSpec};
-        let base = SimConfig::baseline(0.05);
-        let (cfg, policy) = apply_device_cell(base.clone(), "ssd+lruk/Max");
-        assert!(matches!(cfg.resources.device, DeviceSpec::Ssd(_)));
-        assert_eq!(
-            cfg.resources.eviction,
-            EvictionSpec::LruK { k: DEVICE_LRUK_K }
+        use driver::{figure_spec, CellSpec};
+        let devices = figure_spec("devices").expect("known figure");
+        let cell = CellSpec::new(0.05, Policy::Max).on(
+            DeviceSpec::Ssd(SsdSpec::default()),
+            EvictionSpec::LruK { k: 2 },
         );
-        assert_eq!(policy, "Max");
-        // Identity on non-device names: config untouched, name passed back.
-        let (cfg, policy) = apply_device_cell(base, "PMM");
-        assert_eq!(cfg.resources.device, DeviceSpec::Cylinder);
-        assert_eq!(cfg.resources.eviction, EvictionSpec::Lru);
-        assert_eq!(policy, "PMM");
-    }
-
-    #[test]
-    fn make_policy_for_resolves_device_cell_names() {
-        let cfg = SimConfig::baseline(0.05);
-        assert_eq!(make_policy_for(&cfg, "ssd+lruk/PMM").name(), "PMM");
-        assert_eq!(make_policy_for(&cfg, "cyl+lru/MinMax").name(), "MinMax");
-    }
-
-    #[test]
-    fn fault_cell_names_round_trip() {
-        let (mode, p) = split_fault_cell("abort/MinMax").expect("fault cell");
-        assert_eq!(mode, DegradationMode::Abort);
-        assert_eq!(p, "MinMax");
-        let (mode, p) = split_fault_cell("requeue/PMM").expect("fault cell");
-        assert_eq!(mode, DegradationMode::Requeue);
-        assert_eq!(p, "PMM");
-        // Plain names, unknown modes, and device cells pass through.
-        assert!(split_fault_cell("PMM").is_none());
-        assert!(split_fault_cell("retry/PMM").is_none());
-        assert!(split_fault_cell("ssd+lruk/PMM").is_none());
-        assert!(split_device_cell("abort/PMM").is_none());
+        assert_eq!(cell.label(), "ssd+lruk/Max");
+        let sim = devices.resolve(&cell, 600.0);
+        assert!(matches!(sim.resources.device, DeviceSpec::Ssd(_)));
+        assert_eq!(sim.resources.eviction, EvictionSpec::LruK { k: 2 });
+        assert_eq!(sim.duration_secs, 600.0);
+        // A plain cell keeps the figure's device.
+        let sim = devices.resolve(&CellSpec::new(0.05, Policy::PMM), 600.0);
+        assert_eq!(sim.resources.device, DeviceSpec::Cylinder);
+        assert_eq!(sim.resources.eviction, EvictionSpec::Lru);
     }
 
     #[test]
     fn apply_fault_cell_installs_the_degradation_mode() {
-        let base = SimConfig::faulty(1.0);
-        let (cfg, policy) = apply_fault_cell(base.clone(), "requeue/PMM");
-        assert_eq!(cfg.faults.default_mode, DegradationMode::Requeue);
-        assert_eq!(policy, "PMM");
-        // Identity on non-fault names.
-        let (cfg, policy) = apply_fault_cell(base, "MinMax");
-        assert_eq!(cfg.faults.default_mode, DegradationMode::Abort);
-        assert_eq!(policy, "MinMax");
-    }
-
-    #[test]
-    fn make_policy_for_resolves_fault_cell_names() {
-        let cfg = SimConfig::faulty(0.5);
-        assert_eq!(make_policy_for(&cfg, "abort/PMM").name(), "PMM");
-        assert_eq!(make_policy_for(&cfg, "requeue/MinMax").name(), "MinMax");
-    }
-
-    #[test]
-    fn snapshot_cell_names_round_trip() {
-        assert_eq!(
-            split_snapshot_cell("snapshot/Partitioned-soft"),
-            Some("Partitioned-soft")
-        );
-        // Plain names, device cells, and fault cells pass through.
-        assert!(split_snapshot_cell("Partitioned-soft").is_none());
-        assert!(split_snapshot_cell("ssd+lruk/PMM").is_none());
-        assert!(split_snapshot_cell("requeue/PMM").is_none());
-        assert!(split_device_cell("snapshot/Partitioned-soft").is_none());
-        assert!(split_fault_cell("snapshot/Partitioned-soft").is_none());
-    }
-
-    #[test]
-    fn make_policy_for_resolves_snapshot_cell_names() {
-        let cfg = SimConfig::scale(4);
-        let wrapped = make_policy_for(&cfg, "snapshot/Partitioned-soft");
-        assert_eq!(wrapped.name(), "snapshot/Partitioned-soft");
-        assert!(
-            !wrapped.supports_dirty_allocation(),
-            "the snapshot wrapper pins the full-snapshot path"
-        );
-        assert!(
-            make_policy_for(&cfg, "Partitioned-soft").supports_dirty_allocation(),
-            "the unwrapped partitioned policy takes the incremental path"
-        );
+        use driver::{figure_spec, CellSpec};
+        let faults = figure_spec("faults").expect("known figure");
+        let cell = CellSpec::new(1.0, Policy::PMM).degraded(DegradationMode::Requeue);
+        assert_eq!(cell.label(), "requeue/PMM");
+        let sim = faults.resolve(&cell, 600.0);
+        assert_eq!(sim.faults.default_mode, DegradationMode::Requeue);
+        // A plain cell keeps the figure's default mode.
+        let sim = faults.resolve(&CellSpec::new(1.0, Policy::MINMAX), 600.0);
+        assert_eq!(sim.faults.default_mode, DegradationMode::Abort);
     }
 
     #[test]
@@ -579,27 +264,47 @@ mod tests {
     fn panic_policy_panics_on_first_allocation() {
         let mut cfg = SimConfig::baseline(0.05);
         cfg.duration_secs = 100.0;
-        run_simulation(cfg, make_policy("panic"));
+        let policy = make_policy(Policy::Panic, &cfg);
+        run_simulation(cfg, policy);
+    }
+
+    /// The driver config of the quick runs below: one seed over `secs`.
+    fn quick(secs: f64) -> driver::DriverConfig {
+        driver::DriverConfig {
+            seeds: 1,
+            threads: 1,
+            secs,
+            ..driver::DriverConfig::default()
+        }
     }
 
     #[test]
-    fn render_sweep_formats_rows() {
-        let rows = vec![SweepRow {
-            x: 0.04,
-            reports: vec![("Max".into(), RunReport::default())],
-        }];
-        let s = render_sweep("t", "rate", &rows, |r| r.miss_pct(), "%");
-        assert!(s.contains("== t =="));
-        assert!(s.contains("0.040"));
-        assert!(s.contains("Max"));
+    fn quick_baseline_figure_runs() {
+        let r = driver::run_figure("fig3", quick(300.0)).expect("fig3 runs");
+        assert_eq!(r.cells.len(), 5 * 4, "five rates × four policies");
+        assert!(r.cells.iter().all(|c| c.served > 0));
     }
 
     #[test]
-    fn quick_baseline_sweep_runs() {
-        // A tiny smoke version: one rate, short horizon.
-        let rows = sweep(&[0.05], &["Max", "PMM"], 600.0, SimConfig::baseline);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].reports.len(), 2);
-        assert!(rows[0].reports.iter().all(|(_, r)| r.served > 0));
+    fn reports_render_paper_tables() {
+        // Every paper-layout report renders its tables from a quick run.
+        for report in &report::REPORTS {
+            let cfg = driver::DriverConfig {
+                record_pmm_decisions: report.pmm_decisions,
+                ..quick(150.0)
+            };
+            let r = driver::run_figure(report.figure, cfg).expect("figure runs");
+            let mut text = String::new();
+            (report.render)(&r, &mut text).expect("render to a String");
+            assert!(text.starts_with("== "), "{}: {text}", report.figure);
+            if report.figure == "fig3" {
+                // Rate × policy tables: the policies head the columns and
+                // each rate opens a row.
+                assert!(text.contains("== Figure 3: Miss Ratio (Baseline) =="));
+                assert!(text.contains("Max         MinMax   Proportional"), "{text}");
+                assert!(text.contains("\n     0.040 "), "{text}");
+                assert!(text.contains("== Table 7: Average Timings (seconds) =="));
+            }
+        }
     }
 }

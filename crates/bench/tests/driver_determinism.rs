@@ -2,7 +2,8 @@
 //! `(figure, secs, seeds, master_seed)` — never on the thread count or on
 //! which worker ran which replication.
 
-use bench::driver::{run_figure, DriverConfig};
+use bench::driver::{figure_spec, run_figure, CellSpec, DriverConfig};
+use bench::Policy;
 
 /// A parallel 4-thread run over N seeds produces byte-identical merged JSON
 /// to the serial run over the same seeds.
@@ -167,14 +168,10 @@ fn devices_json_matches_serial_and_covers_grid() {
         parallel.to_json(),
         "devices: 4-thread JSON must match the serial run"
     );
-    for combo in bench::DEVICE_COMBOS {
-        for policy in bench::DEVICE_POLICIES {
-            let name = format!("{combo}/{policy}");
-            assert!(
-                serial.cells.iter().any(|c| c.policy == name),
-                "cell {name} present"
-            );
-        }
+    let spec = figure_spec("devices").expect("registered figure");
+    assert_eq!(serial.cells.len(), spec.cells.len());
+    for (merged, cell) in serial.cells.iter().zip(&spec.cells) {
+        assert_eq!((merged.x, &merged.policy), (cell.x, &cell.label()));
     }
     // The SSD's service times are a different distribution from the
     // cylinder disk's, so identical cells would mean the device spec was
@@ -329,25 +326,18 @@ fn scale_json_matches_serial_and_incremental_equals_snapshot() {
         parallel.to_json(),
         "scale: 4-thread JSON must match the serial run"
     );
-    for n in bench::SCALE_TENANTS {
-        for policy in bench::SCALE_POLICIES {
-            assert!(
-                serial
-                    .cells
-                    .iter()
-                    .any(|c| c.x == n as f64 && c.policy == policy),
-                "cell ({n}, {policy}) present"
-            );
-        }
-        let cell = |policy: &str| {
+    let soft = CellSpec::new(0.0, Policy::Partitioned { soft: true });
+    for n in [10, 100, 1000] {
+        let cell = |arm: CellSpec| {
             serial
                 .cells
                 .iter()
-                .find(|c| c.x == n as f64 && c.policy == policy)
-                .expect("grid cell")
+                .find(|c| c.x == n as f64 && c.policy == arm.label())
+                .unwrap_or_else(|| panic!("cell ({n}, {}) present", arm.label()))
         };
-        let inc = cell("Partitioned-soft");
-        let snap = cell("snapshot/Partitioned-soft");
+        cell(CellSpec::new(0.0, Policy::PMM_TENANT));
+        let inc = cell(soft);
+        let snap = cell(soft.snapshot());
         assert_eq!(inc.served, snap.served, "{n} tenants: served");
         assert_eq!(inc.missed, snap.missed, "{n} tenants: missed");
         assert_eq!(

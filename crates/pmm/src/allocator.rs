@@ -9,9 +9,8 @@
 //! The primary entry points are the `*_allocate_into` forms, which write
 //! grants into caller-owned buffers and are allocation-free once the
 //! [`AllocScratch`] is warm — the shape the simulator's reallocation hot
-//! path needs. The allocating wrappers (`max_allocate` & co.) are
-//! deprecated: call `*_allocate_into`, or go through
-//! [`MemoryPolicy::allocate`](crate::MemoryPolicy) for one-shot use.
+//! path needs. For one-shot use, go through
+//! [`MemoryPolicy::allocate`](crate::MemoryPolicy).
 
 use crate::types::{QueryDemand, QueryId};
 
@@ -23,7 +22,7 @@ pub type Grants = Vec<(QueryId, u32)>;
 /// demand copy and the water-filling pin flags. One instance amortizes every
 /// per-call allocation of the seed implementation (`queries.to_vec()` plus a
 /// fresh `Vec<bool>`), which ran on *every* calendar event that moved a
-/// query. The convenience wrappers build a throwaway one.
+/// query.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     sorted: Vec<QueryDemand>,
@@ -56,14 +55,9 @@ impl AllocScratch {
 
 /// **Max** strategy: in ED order, each query gets its maximum demand or the
 /// admission stops. No explicit MPL limit — memory itself is the limiter.
-#[deprecated(note = "use `max_allocate_into` with caller-owned buffers")]
-pub fn max_allocate(queries: &[QueryDemand], total: u32) -> Grants {
-    let mut out = Grants::new();
-    max_allocate_into(queries, total, &mut AllocScratch::default(), &mut out);
-    out
-}
-
-/// [`max_allocate`] into caller-owned buffers; allocation-free once warm.
+///
+/// Writes into caller-owned buffers; allocation-free once `scratch` is
+/// warm.
 pub fn max_allocate_into(
     queries: &[QueryDemand],
     total: u32,
@@ -88,24 +82,9 @@ pub fn max_allocate_into(
 /// admitted query its minimum; pass two tops allocations up to the maximum
 /// in ED order until memory runs out. The query on the boundary may end up
 /// anywhere between its minimum and maximum (Section 3.2).
-#[deprecated(note = "use `minmax_allocate_into` with caller-owned buffers")]
-pub fn minmax_allocate(
-    queries: &[QueryDemand],
-    total: u32,
-    limit: Option<u32>,
-) -> Grants {
-    let mut out = Grants::new();
-    minmax_allocate_into(
-        queries,
-        total,
-        limit,
-        &mut AllocScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`minmax_allocate`] into caller-owned buffers; allocation-free once warm.
+///
+/// Writes into caller-owned buffers; allocation-free once `scratch` is
+/// warm.
 pub fn minmax_allocate_into(
     queries: &[QueryDemand],
     total: u32,
@@ -164,25 +143,9 @@ pub(crate) fn minmax_allocate_flagged_into(
 /// to at least its minimum. The fraction is found by water-filling: queries
 /// whose proportional share would fall below their minimum are pinned at
 /// the minimum and the fraction is recomputed over the rest.
-#[deprecated(note = "use `proportional_allocate_into` with caller-owned buffers")]
-pub fn proportional_allocate(
-    queries: &[QueryDemand],
-    total: u32,
-    limit: Option<u32>,
-) -> Grants {
-    let mut out = Grants::new();
-    proportional_allocate_into(
-        queries,
-        total,
-        limit,
-        &mut AllocScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`proportional_allocate`] into caller-owned buffers; allocation-free
-/// once warm.
+///
+/// Writes into caller-owned buffers; allocation-free once `scratch` is
+/// warm.
 pub fn proportional_allocate_into(
     queries: &[QueryDemand],
     total: u32,
@@ -269,44 +232,6 @@ pub struct PartitionSpec {
     pub soft: bool,
 }
 
-/// **Partitioned** mode: divide memory across tenant partitions, running the
-/// MinMax-N machinery *within* each partition.
-///
-/// Pass 1 hands every partition its quota and allocates its queries with
-/// [`minmax_allocate`] against that budget — a hard guarantee that a tenant
-/// is never starved below its reservation by another tenant's load. Pass 2
-/// is the borrow-back round: pages no partition is using (unused quota plus
-/// any pool pages outside all quotas) are offered to `soft` partitions in
-/// declaration order, which re-allocate with the enlarged budget. Because
-/// the whole division is recomputed from scratch at every allocation event,
-/// borrowed pages flow back automatically the moment the lender's own demand
-/// returns — pass 1 always serves quotas first.
-///
-/// Queries name their partition via [`QueryDemand::tenant`]; out-of-range
-/// indices clamp to the last partition. With no partitions declared this
-/// degenerates to plain `minmax_allocate` over the whole pool. Quotas that
-/// oversubscribe the pool are honored first-declared-first: each partition's
-/// reservation is capped to the pages not already reserved ahead of it, so
-/// the grants can never exceed `total`.
-#[deprecated(note = "use `partitioned_allocate_into` with caller-owned buffers")]
-pub fn partitioned_allocate(
-    queries: &[QueryDemand],
-    partitions: &[PartitionSpec],
-    total: u32,
-    limit: Option<u32>,
-) -> Grants {
-    let mut out = Grants::new();
-    partitioned_allocate_into(
-        queries,
-        partitions,
-        total,
-        limit,
-        &mut PartitionScratch::default(),
-        &mut out,
-    );
-    out
-}
-
 /// Reusable scratch for [`partitioned_allocate_into`]: per-partition demand
 /// groups and grant buffers, plus the shared [`AllocScratch`] the inner
 /// MinMax passes sort in.
@@ -318,7 +243,27 @@ pub struct PartitionScratch {
     alloc: AllocScratch,
 }
 
-/// [`partitioned_allocate`] into caller-owned buffers; allocation-free once
+/// **Partitioned** mode: divide memory across tenant partitions, running the
+/// MinMax-N machinery *within* each partition.
+///
+/// Pass 1 hands every partition its quota and allocates its queries with
+/// [`minmax_allocate_into`] against that budget — a hard guarantee that a tenant
+/// is never starved below its reservation by another tenant's load. Pass 2
+/// is the borrow-back round: pages no partition is using (unused quota plus
+/// any pool pages outside all quotas) are offered to `soft` partitions in
+/// declaration order, which re-allocate with the enlarged budget. Because
+/// the whole division is recomputed from scratch at every allocation event,
+/// borrowed pages flow back automatically the moment the lender's own demand
+/// returns — pass 1 always serves quotas first.
+///
+/// Queries name their partition via [`QueryDemand::tenant`]; out-of-range
+/// indices clamp to the last partition. With no partitions declared this
+/// degenerates to plain MinMax over the whole pool. Quotas that
+/// oversubscribe the pool are honored first-declared-first: each partition's
+/// reservation is capped to the pages not already reserved ahead of it, so
+/// the grants can never exceed `total`.
+///
+/// Writes into caller-owned buffers; allocation-free once `scratch` is
 /// warm.
 pub fn partitioned_allocate_into(
     queries: &[QueryDemand],
@@ -537,12 +482,69 @@ fn partitioned_allocate_core(
 }
 
 #[cfg(test)]
-// The deprecated allocating wrappers stay covered until their removal —
-// these tests pin them against the `_into` forms (and each other).
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use simkit::SimTime;
+
+    // One-shot divisions on fresh buffers per call (a cold scratch and a new
+    // grant vector): the reference the warm `_into` paths are checked
+    // against.
+
+    fn max_allocate(queries: &[QueryDemand], total: u32) -> Grants {
+        let mut out = Grants::new();
+        max_allocate_into(queries, total, &mut AllocScratch::default(), &mut out);
+        out
+    }
+
+    fn minmax_allocate(
+        queries: &[QueryDemand],
+        total: u32,
+        limit: Option<u32>,
+    ) -> Grants {
+        let mut out = Grants::new();
+        minmax_allocate_into(
+            queries,
+            total,
+            limit,
+            &mut AllocScratch::default(),
+            &mut out,
+        );
+        out
+    }
+
+    fn proportional_allocate(
+        queries: &[QueryDemand],
+        total: u32,
+        limit: Option<u32>,
+    ) -> Grants {
+        let mut out = Grants::new();
+        proportional_allocate_into(
+            queries,
+            total,
+            limit,
+            &mut AllocScratch::default(),
+            &mut out,
+        );
+        out
+    }
+
+    fn partitioned_allocate(
+        queries: &[QueryDemand],
+        partitions: &[PartitionSpec],
+        total: u32,
+        limit: Option<u32>,
+    ) -> Grants {
+        let mut out = Grants::new();
+        partitioned_allocate_into(
+            queries,
+            partitions,
+            total,
+            limit,
+            &mut PartitionScratch::default(),
+            &mut out,
+        );
+        out
+    }
 
     fn q(id: u64, deadline: u64, min: u32, max: u32) -> QueryDemand {
         QueryDemand {
@@ -870,7 +872,7 @@ mod tests {
     #[test]
     fn into_variants_match_allocating_paths_with_warm_scratch() {
         // One scratch reused across many differently-shaped calls: results
-        // must be identical to the fresh-allocation wrappers every time.
+        // must be identical to fresh-buffer calls every time.
         let mut scratch = AllocScratch::default();
         let mut pscratch = PartitionScratch::default();
         let mut out = Grants::new();

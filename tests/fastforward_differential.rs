@@ -17,6 +17,7 @@
 //! un-re-blessed on top of this: the descriptor path is the one the golden
 //! was captured against.
 
+use bench::{make_policy, Policy};
 use integration_tests::short_baseline;
 use pmm_core::prelude::*;
 use pmm_core::rtdbs::RunReport;
@@ -26,13 +27,13 @@ use std::fmt::Write as _;
 /// Policies the harness rotates through: the three static allocators, a
 /// limited MinMax (different grant shapes), and both PMM variants
 /// (feedback-driven reallocations at batch boundaries).
-const POLICIES: &[&str] = &[
-    "Max",
-    "MinMax",
-    "MinMax-16",
-    "Proportional",
-    "PMM",
-    "PMM-regime",
+const POLICIES: &[Policy] = &[
+    Policy::Max,
+    Policy::MINMAX,
+    Policy::MinMax { limit: Some(16) },
+    Policy::PROPORTIONAL,
+    Policy::PMM,
+    Policy::PMM_REGIME,
 ];
 
 /// Exact serialization of every behavior field (the golden test's format):
@@ -78,16 +79,16 @@ fn serialize(report: &RunReport) -> String {
 }
 
 /// Run `cfg` through one path. Policies are stateful, so each run gets a
-/// fresh instance resolved from the same name.
-fn run_path(mut cfg: SimConfig, policy: &str, fastforward: bool) -> RunReport {
+/// fresh instance built from the same `Policy`.
+fn run_path(mut cfg: SimConfig, policy: Policy, fastforward: bool) -> RunReport {
     cfg.fastforward = fastforward;
-    let policy = bench::make_policy_for(&cfg, policy);
+    let policy = make_policy(policy, &cfg);
     run_simulation(cfg, policy)
 }
 
 /// Assert both paths of `cfg` agree event-for-event and byte-for-byte.
 /// `label` identifies the generated case in failure output.
-fn assert_paths_agree(cfg: SimConfig, policy: &str, label: &str) {
+fn assert_paths_agree(cfg: SimConfig, policy: Policy, label: &str) {
     let fast = run_path(cfg.clone(), policy, true);
     let slow = run_path(cfg, policy, false);
 
@@ -121,7 +122,7 @@ fn assert_paths_agree(cfg: SimConfig, policy: &str, label: &str) {
 fn baseline_paths_agree() {
     let mut cfg = short_baseline(0.06, 600.0);
     cfg.obs.trace = TraceMode::Full;
-    assert_paths_agree(cfg, "PMM", "baseline/PMM");
+    assert_paths_agree(cfg, Policy::PMM, "baseline/PMM");
 }
 
 /// Faulted run: degradation, outages, and memory shocks all interrupt
@@ -132,7 +133,7 @@ fn faulted_paths_agree() {
     let mut cfg = short_baseline(0.06, 300.0);
     cfg.obs.trace = TraceMode::Full;
     cfg.faults = FaultPlan::scaled(0.8);
-    assert_paths_agree(cfg, "MinMax", "faulted/MinMax");
+    assert_paths_agree(cfg, Policy::MINMAX, "faulted/MinMax");
 }
 
 proptest! {
@@ -169,7 +170,8 @@ proptest! {
         let policy = POLICIES[policy_idx];
         let label = format!(
             "preset={preset} rate={rate:.3} seed={seed} policy={policy} \
-             sample_size={sample_size} faults={fault_intensity:?}"
+             sample_size={sample_size} faults={fault_intensity:?}",
+            policy = policy.label()
         );
         assert_paths_agree(cfg, policy, &label);
     }

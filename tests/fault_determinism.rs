@@ -10,7 +10,7 @@
 //!    result is itself deterministic.
 
 use bench::driver::{quarantine_json, run_figure, DriverConfig};
-use bench::make_policy_for;
+use bench::{make_policy, Policy};
 use integration_tests::short_baseline;
 use pmm_core::prelude::*;
 
@@ -112,10 +112,11 @@ fn incremental_reallocation_survives_storms_bit_for_bit() {
         ],
         ..FaultPlan::default()
     };
-    let inc = run_simulation(cfg.clone(), make_policy_for(&cfg, "Partitioned-soft"));
+    let soft = Policy::Partitioned { soft: true };
+    let inc = run_simulation(cfg.clone(), make_policy(soft, &cfg));
     let snap = run_simulation(
         cfg.clone(),
-        make_policy_for(&cfg, "snapshot/Partitioned-soft"),
+        Box::new(SnapshotOnly::new(make_policy(soft, &cfg))),
     );
     assert_eq!((inc.served, inc.missed), (snap.served, snap.missed));
     assert_eq!(inc.events, snap.events, "not one event may move");

@@ -2,12 +2,8 @@
 //! algorithms, operator I/O accounting, least-squares fits, and the event
 //! calendar.
 
-// The deprecated allocating wrappers stay covered until their removal;
-// production callers use the `*_allocate_into` forms.
-#![allow(deprecated)]
-
+use integration_tests::{fresh_max, fresh_minmax, fresh_proportional};
 use pmm_core::exec::{Action, ExecConfig, FileRef, HashJoin, Operator};
-use pmm_core::pmm::{max_allocate, minmax_allocate, proportional_allocate};
 use pmm_core::pmm::{
     partitioned_allocate_with_into, DirtySet, Grants, IncrementalPartitioned,
     PartitionScratch, PartitionSpec, PartitionStrategy,
@@ -44,9 +40,9 @@ proptest! {
         demands.sort_by_key(|d| d.id);
         demands.dedup_by_key(|d| d.id);
         for grants in [
-            max_allocate(&demands, total),
-            minmax_allocate(&demands, total, limit),
-            proportional_allocate(&demands, total, limit),
+            fresh_max(&demands, total),
+            fresh_minmax(&demands, total, limit),
+            fresh_proportional(&demands, total, limit),
         ] {
             let sum: u64 = grants.iter().map(|&(_, p)| p as u64).sum();
             prop_assert!(sum <= total as u64, "overcommitted {sum} > {total}");
@@ -69,7 +65,7 @@ proptest! {
     ) {
         demands.sort_by_key(|d| d.id);
         demands.dedup_by_key(|d| d.id);
-        let grants = minmax_allocate(&demands, total, None);
+        let grants = fresh_minmax(&demands, total, None);
         // In deadline order, the fraction of the maximum granted is
         // non-increasing except at the single boundary query: once some
         // query is below its max, everyone later is at their min.
