@@ -10,6 +10,7 @@
 use crate::faults::{FaultPlan, FaultSpec};
 use exec::ExecConfig;
 pub use obs::{ObsConfig, TraceMode};
+use simkit::SimTime;
 pub use storage::{DeviceSpec, EvictionSpec, SsdSpec};
 use storage::{DiskGeometry, RelationGroupSpec};
 pub use workload::{
@@ -78,6 +79,16 @@ pub enum ConfigError {
     ZeroMemory,
     /// A non-positive or non-finite simulated duration.
     NonPositiveDuration,
+    /// A duration whose tick count reaches `SimTime::MAX`, the calendar's
+    /// "inactive" sentinel.
+    DurationOutOfRange,
+    /// A negative or non-finite arrival rate (Poisson / Deterministic
+    /// rate, MMPP state rate or state-switch rate).
+    InvalidArrivalRate,
+    /// A negative or non-finite gap in a replayed arrival trace.
+    InvalidTraceGap,
+    /// A class slack range that is non-finite or inverted (`lo > hi`).
+    InvalidSlackRange,
     /// A non-positive or non-finite miss-ratio/metrics window length —
     /// the fig12 window machinery would never (or always) roll.
     NonPositiveWindow,
@@ -107,6 +118,18 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroMemory => "resources.memory_pages must be positive",
             ConfigError::NonPositiveDuration => {
                 "duration_secs must be positive and finite"
+            }
+            ConfigError::DurationOutOfRange => {
+                "duration_secs exceeds the representable simulated time"
+            }
+            ConfigError::InvalidArrivalRate => {
+                "arrival and MMPP switch rates must be finite and non-negative"
+            }
+            ConfigError::InvalidTraceGap => {
+                "arrival trace gaps must be finite and non-negative"
+            }
+            ConfigError::InvalidSlackRange => {
+                "slack ranges need finite bounds with lo <= hi"
             }
             ConfigError::NonPositiveWindow => "window_secs must be positive and finite",
             ConfigError::ZeroRingCapacity => {
@@ -165,13 +188,6 @@ pub struct SimConfig {
     /// trace sink: setting it forces a full sink with (at least) the
     /// arrival-gap event kind enabled.
     pub record_arrivals: bool,
-    /// Drive operators through the batched run protocol with closed-form
-    /// descriptor planning (`true`, the default) or single-step them one
-    /// action per event (`false`). The two paths are bit-identical —
-    /// `tests/fastforward_differential.rs` pins event-for-event equality —
-    /// so this switch exists for that harness and for debugging, not as a
-    /// semantic knob.
-    pub fastforward: bool,
     /// Observability switches (tracing, metrics, profiling). All off by
     /// default; never changes simulated behavior, only what is recorded.
     pub obs: ObsConfig,
@@ -220,7 +236,6 @@ impl SimConfig {
             window_secs: 1_200.0,
             firm_deadlines: true,
             record_arrivals: false,
-            fastforward: true,
             obs: ObsConfig::default(),
             faults: FaultPlan::default(),
         }
@@ -291,8 +306,35 @@ impl SimConfig {
         if !(self.duration_secs > 0.0 && self.duration_secs.is_finite()) {
             return Err(ConfigError::NonPositiveDuration);
         }
+        if SimTime::from_secs_f64(self.duration_secs) == SimTime::MAX {
+            return Err(ConfigError::DurationOutOfRange);
+        }
         if !(self.window_secs > 0.0 && self.window_secs.is_finite()) {
             return Err(ConfigError::NonPositiveWindow);
+        }
+        let finite_non_negative = |r: f64| r.is_finite() && r >= 0.0;
+        for class in &self.classes {
+            match &class.arrival {
+                ArrivalSpec::Poisson { rate } | ArrivalSpec::Deterministic { rate } => {
+                    if !finite_non_negative(*rate) {
+                        return Err(ConfigError::InvalidArrivalRate);
+                    }
+                }
+                ArrivalSpec::Mmpp { rates, switch } => {
+                    if !rates.iter().chain(switch).all(|&r| finite_non_negative(r)) {
+                        return Err(ConfigError::InvalidArrivalRate);
+                    }
+                }
+                ArrivalSpec::Trace { gaps, .. } => {
+                    if !gaps.iter().all(|&g| finite_non_negative(g)) {
+                        return Err(ConfigError::InvalidTraceGap);
+                    }
+                }
+            }
+            let (lo, hi) = class.slack_range;
+            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+                return Err(ConfigError::InvalidSlackRange);
+            }
         }
         if self.obs.trace == TraceMode::Ring && self.obs.ring_capacity == 0 {
             return Err(ConfigError::ZeroRingCapacity);
@@ -689,6 +731,47 @@ mod tests {
         assert_eq!(cfg.validate(), Err(ConfigError::NonPositiveDuration));
         cfg.duration_secs = f64::NAN;
         assert_eq!(cfg.validate(), Err(ConfigError::NonPositiveDuration));
+        // Tick range: the horizon must stay below the `SimTime::MAX`
+        // sentinel, which `from_secs_f64` saturates to.
+        cfg.duration_secs = 1e300;
+        assert_eq!(cfg.validate(), Err(ConfigError::DurationOutOfRange));
+        cfg.duration_secs = u64::MAX as f64;
+        assert_eq!(cfg.validate(), Err(ConfigError::DurationOutOfRange));
+        cfg.duration_secs = 1e12;
+        assert_eq!(cfg.validate(), Ok(()));
+
+        // Arrival processes: non-finite or negative rates, switch rates and
+        // trace gaps. A zero rate (an idle class) stays legal.
+        for rate in [f64::NAN, f64::INFINITY, -0.01] {
+            let mut cfg = SimConfig::baseline(rate);
+            assert_eq!(cfg.validate(), Err(ConfigError::InvalidArrivalRate));
+            cfg.classes[0].arrival = ArrivalSpec::Deterministic { rate };
+            assert_eq!(cfg.validate(), Err(ConfigError::InvalidArrivalRate));
+            for i in 0..4 {
+                let mut rates = [0.1, 0.2];
+                let mut switch = [0.01, 0.01];
+                if i < 2 {
+                    rates[i] = rate;
+                } else {
+                    switch[i - 2] = rate;
+                }
+                cfg.classes[0].arrival = ArrivalSpec::Mmpp { rates, switch };
+                assert_eq!(cfg.validate(), Err(ConfigError::InvalidArrivalRate));
+            }
+            cfg.classes[0].arrival = ArrivalSpec::Trace {
+                gaps: vec![1.0, rate, 2.0],
+                repeat: true,
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::InvalidTraceGap));
+        }
+        assert_eq!(SimConfig::baseline(0.0).validate(), Ok(()));
+
+        // Slack ranges: non-finite bounds or lo > hi.
+        for slack in [(f64::NAN, 7.5), (2.5, f64::INFINITY), (7.5, 2.5)] {
+            let mut cfg = SimConfig::baseline(0.06);
+            cfg.classes[0].slack_range = slack;
+            assert_eq!(cfg.validate(), Err(ConfigError::InvalidSlackRange));
+        }
 
         let mut cfg = SimConfig::baseline(0.06);
         cfg.window_secs = 0.0;

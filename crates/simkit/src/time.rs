@@ -24,9 +24,10 @@ impl SimTime {
     /// The largest representable instant; used as an "inactive" sentinel.
     pub const MAX: SimTime = SimTime(u64::MAX);
 
-    /// Construct from whole simulated seconds.
+    /// Construct from whole simulated seconds, saturating at
+    /// [`SimTime::MAX`] like the f64 constructor and `Add`.
     pub fn from_secs(secs: u64) -> Self {
-        SimTime(secs * TICKS_PER_SEC)
+        SimTime(secs.saturating_mul(TICKS_PER_SEC))
     }
 
     /// Construct from fractional seconds, rounding to the nearest tick.
@@ -53,9 +54,10 @@ impl Duration {
     /// The empty span.
     pub const ZERO: Duration = Duration(0);
 
-    /// Construct from whole simulated seconds.
+    /// Construct from whole simulated seconds, saturating at `u64::MAX`
+    /// ticks like the f64 constructor and `Add`.
     pub fn from_secs(secs: u64) -> Self {
-        Duration(secs * TICKS_PER_SEC)
+        Duration(secs.saturating_mul(TICKS_PER_SEC))
     }
 
     /// Construct from fractional seconds, rounding to the nearest tick.
@@ -166,6 +168,17 @@ mod tests {
         let t = SimTime::from_secs_f64(1.5);
         assert_eq!(t.0, 1_500_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn huge_seconds_saturate() {
+        assert_eq!(SimTime::from_secs(u64::MAX), SimTime::MAX);
+        assert_eq!(Duration::from_secs(u64::MAX), Duration(u64::MAX));
+        assert_eq!(SimTime::from_secs_f64(1e300), SimTime::MAX);
+        assert_eq!(Duration::from_secs_f64(1e300), Duration(u64::MAX));
+        // The largest whole-second count that still fits is exact.
+        let top = u64::MAX / TICKS_PER_SEC;
+        assert_eq!(SimTime::from_secs(top).0, top * TICKS_PER_SEC);
     }
 
     #[test]
