@@ -94,6 +94,9 @@ pub enum ConfigError {
     NonPositiveWindow,
     /// Flight-recorder tracing requested with a zero-capacity ring.
     ZeroRingCapacity,
+    /// With tenants configured, a class bills a tenant index ≥
+    /// `tenants.len()`.
+    TenantOutOfRange,
     /// A fault targets a disk index ≥ `resources.num_disks`.
     FaultDiskOutOfRange,
     /// A fault window is empty, negative, or non-finite.
@@ -134,6 +137,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositiveWindow => "window_secs must be positive and finite",
             ConfigError::ZeroRingCapacity => {
                 "obs.ring_capacity must be positive for ring tracing"
+            }
+            ConfigError::TenantOutOfRange => {
+                "a workload class bills a tenant index beyond the configured tenants"
             }
             ConfigError::FaultDiskOutOfRange => {
                 "fault plan targets a disk index beyond resources.num_disks"
@@ -334,6 +340,9 @@ impl SimConfig {
             let (lo, hi) = class.slack_range;
             if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
                 return Err(ConfigError::InvalidSlackRange);
+            }
+            if !self.tenants.is_empty() && class.tenant >= self.tenants.len() {
+                return Err(ConfigError::TenantOutOfRange);
             }
         }
         if self.obs.trace == TraceMode::Ring && self.obs.ring_capacity == 0 {
@@ -772,6 +781,15 @@ mod tests {
             cfg.classes[0].slack_range = slack;
             assert_eq!(cfg.validate(), Err(ConfigError::InvalidSlackRange));
         }
+
+        // Tenant indices: out of range only matters once tenants exist.
+        let mut cfg = SimConfig::multi_tenant(0.5);
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.classes[1].tenant = 2;
+        assert_eq!(cfg.validate(), Err(ConfigError::TenantOutOfRange));
+        let mut cfg = SimConfig::baseline(0.06);
+        cfg.classes[0].tenant = 7;
+        assert_eq!(cfg.validate(), Ok(()));
 
         let mut cfg = SimConfig::baseline(0.06);
         cfg.window_secs = 0.0;

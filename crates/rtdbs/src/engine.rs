@@ -213,6 +213,10 @@ struct TenantState {
     // arithmetic keeps the values bit-identical to the scan.
     cur_holders: u32,
     cur_pages: u64,
+    /// On the engine's `active_tenants` list: the counters may be non-zero
+    /// or have moved since the last `update_mpl`. Off the list, the
+    /// counters and all four usage signals are 0.
+    active: bool,
     // Per-tenant feedback batch window (maintained only when the policy
     // wants tenant feedback).
     b_served: u64,
@@ -242,6 +246,7 @@ impl TenantState {
             borrowed: TimeWeighted::new(start, 0.0),
             cur_holders: 0,
             cur_pages: 0,
+            active: false,
             b_served: 0,
             b_missed: 0,
             b_mpl: TimeWeighted::new(start, 0.0),
@@ -252,6 +257,24 @@ impl TenantState {
             b_char_norm: Tally::new(),
             b_tainted: false,
         }
+    }
+
+    /// The tenant a query of tenant index `tenant` bills, put on the
+    /// `active` list because its counters are about to move. Out-of-range
+    /// indices clamp to the last tenant: `SimConfig::validate` rejects
+    /// them, but `run_simulation` does not validate.
+    fn billed<'a>(
+        tenants: &'a mut [TenantState],
+        active: &mut Vec<u32>,
+        tenant: u32,
+    ) -> &'a mut TenantState {
+        let ti = (tenant as usize).min(tenants.len() - 1);
+        let t = &mut tenants[ti];
+        if !t.active {
+            t.active = true;
+            active.push(ti as u32);
+        }
+        t
     }
 }
 
@@ -545,6 +568,10 @@ pub struct Simulator {
     // per-tenant feedback batches are routed to the policy.
     tenants: Vec<TenantState>,
     tenant_feedback: bool,
+    /// Indices of the tenants whose usage `update_mpl` must read (see
+    /// `TenantState::active`), so it costs O(tenants holding memory)
+    /// rather than O(population).
+    active_tenants: Vec<u32>,
     // Observability: the single recording path (arrival gaps, the query
     // lifecycle, policy decisions all flow through this sink), the
     // pre-registered metrics instruments, and the wall-clock profiler.
@@ -726,6 +753,7 @@ impl Simulator {
             batch_char_norm: Tally::new(),
             tenants,
             tenant_feedback,
+            active_tenants: Vec::new(),
             tracer,
             obs_metrics,
             profiler,
@@ -1070,8 +1098,11 @@ impl Simulator {
         // integer deltas, so the readings match the seed's full scan
         // bit-for-bit.
         if !self.tenants.is_empty() {
-            let last = self.tenants.len() - 1;
-            let t = &mut self.tenants[(q.tenant as usize).min(last)];
+            let t = TenantState::billed(
+                &mut self.tenants,
+                &mut self.active_tenants,
+                q.tenant,
+            );
             t.cur_pages = t.cur_pages + u64::from(new) - u64::from(old);
             if old == 0 && new > 0 {
                 t.cur_holders += 1;
@@ -1130,8 +1161,11 @@ impl Simulator {
         if q.granted > 0 {
             self.holders -= 1;
             if !self.tenants.is_empty() {
-                let last = self.tenants.len() - 1;
-                let t = &mut self.tenants[(q.tenant as usize).min(last)];
+                let t = TenantState::billed(
+                    &mut self.tenants,
+                    &mut self.active_tenants,
+                    q.tenant,
+                );
                 t.cur_pages -= u64::from(q.granted);
                 t.cur_holders -= 1;
             }
@@ -1150,32 +1184,46 @@ impl Simulator {
 
     fn update_mpl(&mut self, now: SimTime) {
         // The holder/page counters are maintained incrementally on every
-        // grant diff and departure (`apply_grant`, `retire_counters`), so
-        // this costs O(tenants) instead of the seed's scan over every live
-        // query; multi-tenant runs fold the per-tenant usage readings
-        // (MPL, pages in use, pages borrowed beyond quota) out of the same
-        // counters — every holder bills a tenant (out-of-range indices
-        // clamp), so the global MPL is the sum of the per-tenant counts.
-        // All-integer deltas keep the readings bit-identical to the scan.
+        // grant diff and departure (`apply_grant`, `on_departed`), so this
+        // never scans the live table; multi-tenant runs fold the per-tenant
+        // usage readings (MPL, pages in use, pages borrowed beyond quota)
+        // out of the same counters — every holder bills a tenant
+        // (out-of-range indices clamp), so the global MPL is the sum of the
+        // per-tenant counts. All-integer deltas keep the readings
+        // bit-identical to the scan.
+        //
+        // Only tenants on the active list are visited. Every other tenant
+        // has zero counters and all four signals at +0.0, so the skipped
+        // `set(now, 0.0)` calls would each add `0.0 × dt = +0.0` to their
+        // integrals — and the first `set` after reactivation adds the same
+        // +0.0 for the whole idle stretch. A tenant leaves the list once
+        // this pass has recorded it back at zero.
         let holders = if self.tenants.is_empty() {
             f64::from(self.holders)
         } else {
             let mut holders = 0u32;
-            for (ti, t) in self.tenants.iter_mut().enumerate() {
+            let tenants = &mut self.tenants;
+            let feedback = self.tenant_feedback;
+            let obs_metrics = &mut self.obs_metrics;
+            self.active_tenants.retain(|&ti| {
+                let t = &mut tenants[ti as usize];
                 holders += t.cur_holders;
                 t.mpl.set(now, f64::from(t.cur_holders));
-                if self.tenant_feedback {
+                if feedback {
                     t.b_mpl.set(now, f64::from(t.cur_holders));
                 }
                 t.used.set(now, t.cur_pages as f64);
                 t.borrowed
                     .set(now, (t.cur_pages as f64 - f64::from(t.quota)).max(0.0));
-                if let Some(m) = &mut self.obs_metrics {
+                if let Some(m) = obs_metrics {
                     if let Some(id) = m.tenant_mpl {
-                        m.reg.set_gauge_cell(id, ti, f64::from(t.cur_holders));
+                        m.reg
+                            .set_gauge_cell(id, ti as usize, f64::from(t.cur_holders));
                     }
                 }
-            }
+                t.active = t.cur_holders > 0 || t.cur_pages > 0;
+                t.active
+            });
             f64::from(holders)
         };
         self.mpl_run.set(now, holders);
@@ -1905,6 +1953,16 @@ impl Simulator {
             .map(|u| u.fraction(now))
             .sum::<f64>()
             / self.disk_util_run.len().max(1) as f64;
+        debug_assert!(
+            self.tenants.iter().filter(|t| !t.active).all(|t| {
+                t.cur_holders == 0
+                    && t.cur_pages == 0
+                    && [&t.mpl, &t.b_mpl, &t.used, &t.borrowed]
+                        .iter()
+                        .all(|s| s.current() == 0.0)
+            }),
+            "a tenant off the active list holds memory or a non-zero usage signal"
+        );
         let tenant_outcomes: Vec<TenantOutcome> = self
             .tenants
             .iter_mut()

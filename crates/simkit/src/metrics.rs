@@ -115,6 +115,13 @@ impl TimeWeighted {
     }
 
     /// Record that the signal takes value `v` from `now` onward.
+    ///
+    /// Re-setting a signal that holds `0.0` to `0.0` is a no-op for every
+    /// later reading: it adds `0.0 × dt = +0.0` to a non-negative integral,
+    /// and the next `set`, `mean` or `reset_window` integrates the skipped
+    /// stretch as the same `+0.0`. Callers may skip such calls — the engine
+    /// updates only tenants whose usage can be non-zero — and `mean` stays
+    /// bit-identical.
     pub fn set(&mut self, now: SimTime, v: f64) {
         self.integrate_to(now);
         self.value = v;
@@ -337,6 +344,44 @@ mod tests {
         tw.reset_window(SimTime::from_secs(100));
         let mean = tw.mean(SimTime::from_secs(200));
         assert!((mean - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn time_weighted_zero_sets_are_bit_identical_to_skipping_them() {
+        let t = SimTime::from_secs_f64;
+        let mut touched = TimeWeighted::new(t(1.25), 3.7);
+        let mut skipped = touched.clone();
+        for tw in [&mut touched, &mut skipped] {
+            tw.set(t(9.875), 0.0);
+        }
+        // Held at zero: only one twin sees the redundant sets.
+        let mut x = 10.0_f64;
+        for _ in 0..40 {
+            x += (x * 0.618_033_988_7).fract() * 3.1;
+            touched.set(t(x), 0.0);
+        }
+        // A later rise to a non-zero value, then back to zero.
+        for tw in [&mut touched, &mut skipped] {
+            tw.set(t(x + 1.5), 41.0);
+            tw.set(t(x + 7.3), 0.0);
+        }
+        touched.set(t(x + 8.1), 0.0);
+        assert_eq!(
+            touched.mean(t(x + 9.0)).to_bits(),
+            skipped.mean(t(x + 9.0)).to_bits()
+        );
+        // Across a window reset, with zero sets on either side of it.
+        touched.set(t(x + 11.0), 0.0);
+        for tw in [&mut touched, &mut skipped] {
+            tw.reset_window(t(x + 12.5));
+        }
+        touched.set(t(x + 13.0), 0.0);
+        for tw in [&mut touched, &mut skipped] {
+            tw.set(t(x + 14.25), 17.0);
+        }
+        let end = t(x + 20.0);
+        assert_eq!(touched.mean(end).to_bits(), skipped.mean(end).to_bits());
+        assert!(touched.mean(end) > 0.0);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! bit. (`RunReport::events` is deliberately excluded: it is a perf counter,
 //! and optimizations may legitimately dispatch fewer dead events.)
 //!
+//! A second pin covers the multi-tenant accounting path: every
+//! `TenantOutcome` field of a shortened `scale` run under the scale
+//! figure's three policy arms.
+//!
 //! To re-bless after an *intentional* behavior change:
 //! `UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test golden_report`
 
@@ -69,28 +73,37 @@ fn serialize(report: &RunReport) -> String {
     out
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("golden")
-        .join("runreport_fig3.txt")
+/// Every `TenantOutcome` field plus the run's MPL, floats as `{:?}`.
+fn serialize_tenants(report: &RunReport) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "policy: {}", report.policy);
+    let _ = writeln!(out, "avg_mpl: {:?}", report.avg_mpl);
+    for t in &report.tenants {
+        let _ = writeln!(
+            out,
+            "tenant {}: quota={} soft={} served={} missed={} avg_mpl={:?} \
+             quota_utilization={:?} borrowed_pages={:?}",
+            t.name,
+            t.quota_pages,
+            t.soft,
+            t.served,
+            t.missed,
+            t.avg_mpl,
+            t.quota_utilization,
+            t.borrowed_pages
+        );
+    }
+    out
 }
 
-#[test]
-fn run_report_matches_golden_snapshot() {
-    let mut actual = String::new();
-    for policy in ["Max", "MinMax", "PMM"] {
-        let boxed: Box<dyn MemoryPolicy> = match policy {
-            "Max" => Box::new(MaxPolicy),
-            "MinMax" => Box::new(MinMaxPolicy::unlimited()),
-            _ => Box::new(Pmm::with_defaults()),
-        };
-        let report = run_simulation(golden_cfg(), boxed);
-        let _ = writeln!(actual, "==== {policy} ====");
-        actual.push_str(&serialize(&report));
-    }
-    let path = golden_path();
+/// Compare `actual` against the snapshot `golden/<file>`, or rewrite the
+/// snapshot when `UPDATE_GOLDEN` is set.
+fn check_golden(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual).expect("write golden snapshot");
+        std::fs::write(&path, actual).expect("write golden snapshot");
         eprintln!("golden snapshot updated at {}", path.display());
         return;
     }
@@ -106,4 +119,59 @@ fn run_report_matches_golden_snapshot() {
          an event. If the change is intentional, re-bless with UPDATE_GOLDEN=1.\n\
          --- expected ---\n{expected}\n--- actual ---\n{actual}"
     );
+}
+
+#[test]
+fn run_report_matches_golden_snapshot() {
+    let mut actual = String::new();
+    for policy in ["Max", "MinMax", "PMM"] {
+        let boxed: Box<dyn MemoryPolicy> = match policy {
+            "Max" => Box::new(MaxPolicy),
+            "MinMax" => Box::new(MinMaxPolicy::unlimited()),
+            _ => Box::new(Pmm::with_defaults()),
+        };
+        let report = run_simulation(golden_cfg(), boxed);
+        let _ = writeln!(actual, "==== {policy} ====");
+        actual.push_str(&serialize(&report));
+    }
+    check_golden("runreport_fig3.txt", &actual);
+}
+
+/// A 48-tenant `scale` cell at its preset's 1 200 s: long enough for
+/// tenants to gain, lose and regain memory many times over.
+fn tenant_cfg() -> SimConfig {
+    let mut cfg = SimConfig::scale(48);
+    cfg.duration_secs = 1_200.0;
+    cfg.seed = 1994;
+    cfg
+}
+
+#[test]
+fn tenant_outcomes_match_golden_snapshot() {
+    let mut actual = String::new();
+    let cfg = tenant_cfg();
+    let partitions: Vec<PartitionSpec> = cfg
+        .tenants
+        .iter()
+        .map(|t| PartitionSpec {
+            quota: t.quota_pages,
+            soft: t.soft,
+        })
+        .collect();
+    let soft = || PartitionedPolicy::new(partitions.clone()).soften();
+    let arms: [(&str, Box<dyn MemoryPolicy>); 3] = [
+        ("Partitioned-soft", Box::new(soft())),
+        (
+            "snapshot/Partitioned-soft",
+            Box::new(SnapshotOnly::new(Box::new(soft()))),
+        ),
+        ("PMM-tenant", Box::new(TenantPmm::new(partitions.clone()))),
+    ];
+    for (label, policy) in arms {
+        let report = run_simulation(cfg.clone(), policy);
+        assert_eq!(report.tenants.len(), 48);
+        let _ = writeln!(actual, "==== {label} ====");
+        actual.push_str(&serialize_tenants(&report));
+    }
+    check_golden("runreport_tenants.txt", &actual);
 }
