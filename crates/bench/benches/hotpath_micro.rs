@@ -1,7 +1,8 @@
 //! Hot-path micro-benchmarks: the substrates the event loop spends its
 //! time in — the calendar (push/pop/cancel), the memory-division
-//! allocators behind `reallocate()`, the per-disk ED+elevator queue, and
-//! operator stepping at paper-scale relation sizes.
+//! allocators behind `reallocate()`, the per-disk ED+elevator queue,
+//! operator stepping at paper-scale relation sizes, and one stand-alone
+//! deadline estimate (a cache miss in the engine).
 //!
 //! These track the repo's perf trajectory: run
 //! `cargo bench -p bench --bench hotpath_micro` before and after touching
@@ -16,8 +17,9 @@ use pmm_core::pmm::{
     AllocScratch, DirtySet, Grants, IncrementalPartitioned, PartitionScratch,
     PartitionSpec, PartitionStrategy, QueryDemand, QueryId,
 };
+use pmm_core::rtdbs::{standalone_estimate, ResourceConfig};
 use pmm_core::simkit::{Calendar, Duration, SimTime};
-use pmm_core::storage::{DiskQueue, FileId, QueuedRequest};
+use pmm_core::storage::{DiskId, DiskQueue, FileId, FileMeta, QueuedRequest};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random stream (SplitMix64) for bench inputs.
@@ -249,6 +251,27 @@ fn bench(c: &mut Criterion) {
     };
     c.bench_function("opstep/sort_form_merge_step_1200_w100", |b| {
         b.iter(|| black_box(drain_steps(&mut sort_two_pass())))
+    });
+
+    // The engine's estimate for a mid-sized baseline join whose operands
+    // sit on two disks: one max-memory execution priced on idle disks.
+    let resources = ResourceConfig::default();
+    let operand = |n: u32, disk: u32, start_cylinder: u32, pages: u32| {
+        let meta = FileMeta {
+            disk: DiskId(disk),
+            start_cylinder,
+            pages,
+        };
+        (FileId::Relation(n), meta)
+    };
+    c.bench_function("standalone/join_estimate_1200x6000", |b| {
+        b.iter(|| {
+            black_box(standalone_estimate(
+                &resources,
+                operand(0, 0, 700, 1200),
+                Some(operand(1, 1, 800, 6000)),
+            ))
+        })
     });
 
     c.bench_function("reallocate/minmax_64", |b| {

@@ -9,17 +9,20 @@
 //!   merge steps split and combine as memory fluctuates \[Pang93b\].
 //!
 //! Both are modelled as *pure state machines* emitting CPU bursts and
-//! page-range I/Os (see [`op`]), so they can be unit-tested against
+//! page-range I/Os (see [`op`]); the simulator holds either one by value
+//! as a [`query::QueryOp`]. They can be unit-tested against
 //! I/O-volume invariants without the full simulator, and
 //! [`standalone::standalone_time`] can price a query for deadline
 //! assignment by replaying the same machine against an idle-disk cost model.
 
 pub mod hashjoin;
 pub mod op;
+pub mod query;
 pub mod sort;
 pub mod standalone;
 
 pub use hashjoin::HashJoin;
 pub use op::{Action, ActionRun, ExecConfig, FileRef, IoRequest, Operator};
+pub use query::QueryOp;
 pub use sort::ExternalSort;
 pub use standalone::{standalone_time, standalone_time_on, Placement};

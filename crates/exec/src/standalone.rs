@@ -19,7 +19,6 @@
 
 use crate::op::{Action, FileRef, Operator};
 use simkit::Duration;
-use std::collections::HashMap;
 use storage::{DeviceSpec, DiskGeometry, DiskId, ServiceModel};
 
 /// Resolves an operator-visible file to its physical placement.
@@ -44,8 +43,8 @@ impl<F: FnMut(FileRef) -> (DiskId, u32)> Placement for F {
 /// # Panics
 /// Panics if the operator parks (stand-alone execution never suspends) or
 /// fails to finish within a very generous step bound.
-pub fn standalone_time<P: Placement>(
-    op: &mut dyn Operator,
+pub fn standalone_time<O: Operator + ?Sized, P: Placement>(
+    op: &mut O,
     geometry: &DiskGeometry,
     placement: &mut P,
     cpu_mips: f64,
@@ -55,9 +54,13 @@ pub fn standalone_time<P: Placement>(
 
 /// Estimate the stand-alone execution time of `op` on `device`.
 ///
-/// Each disk the query touches gets a fresh service model whose positional
-/// state starts where the query's first access lands (no initial-seek
-/// charge — the seed's `or_insert` head semantics). The queue-depth hint is
+/// Each disk the query touches gets its own service model, built on the
+/// first access to that disk, whose positional state starts where that
+/// access lands (no initial-seek charge). A query touches at most a couple
+/// of disks, so the models sit in a short list searched linearly; the
+/// per-I/O cost is one placement call and one service-time computation,
+/// with no hashing. Temp creation and release are metadata-only and cost
+/// nothing here. The queue-depth hint is
 /// 0: a stand-alone query has nothing stacked behind its requests, so an
 /// SSD charges full per-op latency. Deadlines derived from this estimate
 /// therefore shrink along with execution times when the device is faster —
@@ -66,8 +69,8 @@ pub fn standalone_time<P: Placement>(
 /// # Panics
 /// Panics if the operator parks (stand-alone execution never suspends) or
 /// fails to finish within a very generous step bound.
-pub fn standalone_time_on<P: Placement>(
-    op: &mut dyn Operator,
+pub fn standalone_time_on<O: Operator + ?Sized, P: Placement>(
+    op: &mut O,
     device: &DeviceSpec,
     geometry: &DiskGeometry,
     placement: &mut P,
@@ -75,8 +78,7 @@ pub fn standalone_time_on<P: Placement>(
 ) -> Duration {
     assert!(cpu_mips > 0.0, "MIPS rating must be positive");
     let mut total = Duration::ZERO;
-    let mut models: HashMap<DiskId, Box<dyn ServiceModel>> = HashMap::new();
-    let mut temp_sizes: HashMap<u32, u32> = HashMap::new();
+    let mut models: Vec<(DiskId, Box<dyn ServiceModel>)> = Vec::new();
     for _ in 0..50_000_000u64 {
         match op.step() {
             Action::Cpu(instr) => {
@@ -85,22 +87,21 @@ pub fn standalone_time_on<P: Placement>(
             Action::Io(io) => {
                 let (disk, start_cyl) = placement.resolve(io.file);
                 let cyl = geometry.cylinder_of(start_cyl, io.first_page);
-                let model = models.entry(disk).or_insert_with(|| {
-                    let mut m = device.build(geometry);
-                    m.park_at(cyl);
-                    m
-                });
+                let at = match models.iter().position(|(d, _)| *d == disk) {
+                    Some(at) => at,
+                    None => {
+                        let mut m = device.build(geometry);
+                        m.park_at(cyl);
+                        models.push((disk, m));
+                        models.len() - 1
+                    }
+                };
                 // Prefetch rounds a partial-block read up to whole blocks,
                 // matching the disk model.
                 let pages = io.pages.max(1);
-                total += model.access_time(cyl, pages, io.kind, 0);
+                total += models[at].1.access_time(cyl, pages, io.kind, 0);
             }
-            Action::CreateTemp { slot, pages } => {
-                temp_sizes.insert(slot, pages);
-            }
-            Action::DropTemp { slot } => {
-                temp_sizes.remove(&slot);
-            }
+            Action::CreateTemp { .. } | Action::DropTemp { .. } => {}
             Action::Parked => panic!("stand-alone execution cannot park"),
             Action::Finished => return total,
         }

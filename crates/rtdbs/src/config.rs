@@ -107,6 +107,13 @@ pub enum ConfigError {
     /// A zero base backoff or a cap below the base: the retry ladder
     /// would spin without advancing virtual time (or be non-monotone).
     FaultBackoffInvalid,
+    /// A class draws operands from a relation group index ≥
+    /// `database.len()`, so it has no relations to pick.
+    RelationGroupOutOfRange,
+    /// A relation group with no relations per disk, an inverted size
+    /// range, or a zero-page lower bound (operators need non-empty
+    /// operands).
+    InvalidRelationGroup,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -153,6 +160,12 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::FaultBackoffInvalid => {
                 "fault retry backoff needs base > 0 and cap >= base"
+            }
+            ConfigError::RelationGroupOutOfRange => {
+                "a workload class draws from a relation group beyond the database"
+            }
+            ConfigError::InvalidRelationGroup => {
+                "relation groups need relations_per_disk > 0 and 0 < lo <= hi pages"
             }
         };
         f.write_str(msg)
@@ -318,6 +331,13 @@ impl SimConfig {
         if !(self.window_secs > 0.0 && self.window_secs.is_finite()) {
             return Err(ConfigError::NonPositiveWindow);
         }
+        for group in &self.database {
+            let (lo, hi) = group.size_range;
+            if group.relations_per_disk == 0 || lo == 0 || lo > hi {
+                return Err(ConfigError::InvalidRelationGroup);
+            }
+        }
+        let group_exists = |g: u32| (g as usize) < self.database.len();
         let finite_non_negative = |r: f64| r.is_finite() && r >= 0.0;
         for class in &self.classes {
             match &class.arrival {
@@ -343,6 +363,15 @@ impl SimConfig {
             }
             if !self.tenants.is_empty() && class.tenant >= self.tenants.len() {
                 return Err(ConfigError::TenantOutOfRange);
+            }
+            let groups_exist = match class.query_type {
+                QueryType::HashJoin { groups: (a, b) } => {
+                    group_exists(a) && group_exists(b)
+                }
+                QueryType::ExternalSort { group } => group_exists(group),
+            };
+            if !groups_exist {
+                return Err(ConfigError::RelationGroupOutOfRange);
             }
         }
         if self.obs.trace == TraceMode::Ring && self.obs.ring_capacity == 0 {
@@ -809,6 +838,44 @@ mod tests {
         cfg.obs.trace = TraceMode::Full;
         cfg.obs.ring_capacity = 0;
         assert_eq!(cfg.validate(), Ok(()));
+
+        // Relation groups: every class draws from an existing group, and
+        // every group yields non-empty relations.
+        let mut cfg = SimConfig::baseline(0.06);
+        cfg.classes[0].query_type = QueryType::HashJoin { groups: (0, 2) };
+        assert_eq!(cfg.validate(), Err(ConfigError::RelationGroupOutOfRange));
+        let mut cfg = SimConfig::sorts(0.1);
+        cfg.classes[0].query_type = QueryType::ExternalSort { group: 9 };
+        assert_eq!(cfg.validate(), Err(ConfigError::RelationGroupOutOfRange));
+        let mut cfg = SimConfig::baseline(0.06);
+        cfg.database.clear();
+        assert_eq!(cfg.validate(), Err(ConfigError::RelationGroupOutOfRange));
+        for group in [
+            RelationGroupSpec {
+                relations_per_disk: 0,
+                size_range: (600, 1800),
+            },
+            RelationGroupSpec {
+                relations_per_disk: 3,
+                size_range: (1800, 600),
+            },
+            RelationGroupSpec {
+                relations_per_disk: 3,
+                size_range: (0, 1800),
+            },
+            RelationGroupSpec {
+                relations_per_disk: 1,
+                size_range: (0, 0),
+            },
+        ] {
+            let mut cfg = SimConfig::baseline(0.06);
+            cfg.database[1] = group;
+            assert_eq!(cfg.validate(), Err(ConfigError::InvalidRelationGroup));
+            // Unreferenced groups are still built into the layout.
+            let mut cfg = SimConfig::baseline(0.06);
+            cfg.database.push(group);
+            assert_eq!(cfg.validate(), Err(ConfigError::InvalidRelationGroup));
+        }
 
         // Errors render as readable one-liners.
         assert_eq!(

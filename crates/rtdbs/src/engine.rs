@@ -27,13 +27,13 @@
 //! aggregates per-tenant quota utilization and borrow volume into
 //! [`RunReport::tenants`] for any policy.
 
-use crate::config::{QueryType, SimConfig};
+use crate::config::{QueryType, ResourceConfig, SimConfig};
 use crate::cpu::CpuManager;
 use crate::faults::{DegradationMode, FaultSpec};
 use crate::metrics::{
     ClassOutcome, RunReport, TenantOutcome, TimingTallies, WindowPoint,
 };
-use exec::{Action, ExternalSort, FileRef, HashJoin, Operator};
+use exec::{Action, ExecConfig, ExternalSort, FileRef, HashJoin, Operator, QueryOp};
 use obs::{
     CounterFamilyId, CounterId, DegradedAction, FaultClass, GaugeFamilyId, GaugeId,
     HistId, MetricsRegistry, Profiler, Section, TraceEvent, TraceKind, TraceMode, Tracer,
@@ -47,9 +47,7 @@ use simkit::metrics::{BatchMeans, Tally, TimeWeighted, Utilization};
 use simkit::{Calendar, Duration, Rng, SeedSequence, SimTime};
 use stats::SampleSummary;
 use std::collections::VecDeque;
-use storage::{
-    Access, DiskFarm, FileId, FileMeta, IoKind, Layout, RelationMeta, Service,
-};
+use storage::{Access, DiskFarm, FileId, FileMeta, IoKind, Layout, Service};
 use workload::ArrivalProcess;
 
 /// Calendar event payloads.
@@ -140,7 +138,7 @@ struct LiveQuery {
     id: QueryId,
     class: usize,
     tenant: u32,
-    op: Box<dyn Operator>,
+    op: QueryOp,
     arrival: SimTime,
     deadline: SimTime,
     granted: u32,
@@ -440,6 +438,8 @@ struct ObsMetrics {
     faults_requeues: CounterId,
     faults_shock_victims: CounterId,
     faults_batches_segmented: CounterId,
+    standalone_estimates: CounterId,
+    standalone_cache_hits: CounterId,
     mpl: GaugeId,
     response: HistId,
     // Per-tenant label families (multi-tenant configs only). Families
@@ -469,6 +469,10 @@ impl ObsMetrics {
         let faults_requeues = reg.counter("faults.requeues");
         let faults_shock_victims = reg.counter("faults.shock_victims");
         let faults_batches_segmented = reg.counter("faults.batches_segmented");
+        // Stand-alone deadline estimates: one per arrival; the hits were
+        // answered from the per-operand-pair cache without stepping.
+        let standalone_estimates = reg.counter("engine.standalone_estimates");
+        let standalone_cache_hits = reg.counter("engine.standalone_cache_hits");
         let mpl = reg.gauge("engine.mpl");
         let response = reg.histogram("engine.response_secs", RESPONSE_BUCKETS);
         // Registered last: single-tenant registries stay exactly as before.
@@ -495,6 +499,8 @@ impl ObsMetrics {
             faults_requeues,
             faults_shock_victims,
             faults_batches_segmented,
+            standalone_estimates,
+            standalone_cache_hits,
             mpl,
             response,
             tenant_served,
@@ -853,12 +859,7 @@ impl Simulator {
         let query_type = spec.query_type;
         let slack_range = spec.slack_range;
         let tenant = spec.tenant as u32;
-        let exec_cfg = self.cfg.resources.exec;
-        let (op, r_meta, s_meta): (
-            Box<dyn Operator>,
-            RelationMeta,
-            Option<RelationMeta>,
-        ) = match query_type {
+        let (r_meta, s_meta) = match query_type {
             QueryType::HashJoin { groups } => {
                 let a = self
                     .layout
@@ -868,45 +869,40 @@ impl Simulator {
                     .random_relation(groups.1, &mut self.rng_pick[class]);
                 // The smaller relation builds (inner R), the larger probes.
                 let (r, s) = if a.pages <= b.pages { (a, b) } else { (b, a) };
-                (
-                    Box::new(HashJoin::new(exec_cfg, r.file, r.pages, s.file, s.pages)),
-                    r,
-                    Some(s),
-                )
+                (r, Some(s))
             }
             QueryType::ExternalSort { group } => {
                 let r = self
                     .layout
                     .random_relation(group, &mut self.rng_pick[class]);
-                (
-                    Box::new(ExternalSort::new(exec_cfg, r.file, r.pages)),
-                    r,
-                    None,
-                )
+                (r, None)
             }
         };
-        let standalone = self.standalone_of(&query_type, r_meta, s_meta);
+        let r = (r_meta.file, self.layout.meta(r_meta.file));
+        let s = s_meta.map(|m| (m.file, self.layout.meta(m.file)));
+        let (standalone, cache_hit) = self.standalone_of(r, s);
         let slack = self.rng_slack[class].uniform(slack_range.0, slack_range.1);
         let deadline = now + standalone.scale(slack);
         let id = QueryId(self.next_id);
         self.next_id += 1;
+        let exec_cfg = self.cfg.resources.exec;
         let operand_ios = {
             let block = exec_cfg.block_pages;
-            let s_pages = s_meta.map_or(0, |m| m.pages);
-            r_meta.pages.div_ceil(block) + s_pages.div_ceil(block)
+            let s_pages = s.map_or(0, |(_, m)| m.pages);
+            r.1.pages.div_ceil(block) + s_pages.div_ceil(block)
         };
         let query = LiveQuery {
             id,
             class,
             tenant,
-            op,
+            op: query_op(exec_cfg, r, s),
             arrival: now,
             deadline,
             granted: 0,
             first_admit: None,
             waiting: Waiting::Nothing,
-            r_place: PlacedFile::new(r_meta.file, self.layout.meta(r_meta.file)),
-            s_place: s_meta.map(|m| PlacedFile::new(m.file, self.layout.meta(m.file))),
+            r_place: PlacedFile::new(r.0, r.1),
+            s_place: s.map(|(f, m)| PlacedFile::new(f, m)),
             temps: Vec::new(),
             operand_ios: operand_ios.max(1),
             deadline_handle: None,
@@ -928,57 +924,27 @@ impl Simulator {
         );
         if let Some(m) = &mut self.obs_metrics {
             m.reg.inc(m.arrivals, 1);
+            m.reg.inc(m.standalone_estimates, 1);
+            m.reg.inc(m.standalone_cache_hits, u64::from(cache_hit));
         }
         self.reallocate(now);
     }
 
     /// Stand-alone execution time for deadline assignment, cached per
     /// operand pair (the database has finitely many relations, so this
-    /// cache converges quickly).
+    /// cache converges quickly). Also says whether the cache answered.
     fn standalone_of(
         &mut self,
-        qt: &QueryType,
-        r: RelationMeta,
-        s: Option<RelationMeta>,
-    ) -> Duration {
-        let key = (r.file, s.map(|m| m.file));
+        r: (FileId, FileMeta),
+        s: Option<(FileId, FileMeta)>,
+    ) -> (Duration, bool) {
+        let key = (r.0, s.map(|(f, _)| f));
         if let Some(&d) = self.standalone_cache.get(&key) {
-            return d;
+            return (d, true);
         }
-        let exec_cfg = self.cfg.resources.exec;
-        let mut op: Box<dyn Operator> = match qt {
-            QueryType::HashJoin { .. } => {
-                let s = s.expect("join has an outer relation");
-                Box::new(HashJoin::new(exec_cfg, r.file, r.pages, s.file, s.pages))
-            }
-            QueryType::ExternalSort { .. } => {
-                Box::new(ExternalSort::new(exec_cfg, r.file, r.pages))
-            }
-        };
-        op.set_allocation(op.max_memory());
-        let layout = &self.layout;
-        let geometry = self.cfg.resources.geometry;
-        let mut placement = |file: FileRef| match file {
-            FileRef::Base(f) => {
-                let meta = layout.meta(f);
-                (meta.disk, meta.start_cylinder)
-            }
-            // Max-memory execution performs no temp I/O; this arm only
-            // matters for hypothetical constrained estimates.
-            FileRef::Temp(_) => (r.disk, geometry.num_cylinders / 6),
-        };
-        // Priced on the configured device: a faster device shrinks both
-        // execution times and the deadlines derived from them, keeping the
-        // paper's slack *ratios*.
-        let d = exec::standalone_time_on(
-            op.as_mut(),
-            &self.cfg.resources.device,
-            &geometry,
-            &mut placement,
-            self.cfg.resources.cpu_mips,
-        );
+        let d = standalone_estimate(&self.cfg.resources, r, s);
         self.standalone_cache.insert(key, d);
-        d
+        (d, false)
     }
 
     // ----- Buffer manager / policy glue ----------------------------------
@@ -2003,6 +1969,60 @@ impl Simulator {
             profile,
         }
     }
+}
+
+/// The operator of a query over operand `r` and, for a join, `s` (R
+/// builds, S probes); a query without `s` sorts `r`. Operands are
+/// `(file, placement)`.
+fn query_op(
+    exec_cfg: ExecConfig,
+    r: (FileId, FileMeta),
+    s: Option<(FileId, FileMeta)>,
+) -> QueryOp {
+    match s {
+        Some(s) => QueryOp::Join(HashJoin::new(exec_cfg, r.0, r.1.pages, s.0, s.1.pages)),
+        None => QueryOp::Sort(ExternalSort::new(exec_cfg, r.0, r.1.pages)),
+    }
+}
+
+/// The stand-alone execution time that sets a query's deadline
+/// (`Arrival + StandAlone × SlackRatio`, Section 4.1): the query over
+/// operand `r` and, for a join, `s` run at its maximum allocation on an
+/// otherwise idle system with `resources`' CPU and device. Operands are
+/// `(file, placement)`, as [`storage::Layout::meta`] reports them.
+///
+/// Each operand's `(disk, start_cylinder)` is resolved once, here, so
+/// stepping the operator does no per-I/O placement lookup.
+pub fn standalone_estimate(
+    resources: &ResourceConfig,
+    r: (FileId, FileMeta),
+    s: Option<(FileId, FileMeta)>,
+) -> Duration {
+    let mut op = query_op(resources.exec, r, s);
+    op.set_allocation(op.max_memory());
+    let geometry = resources.geometry;
+    // An operator reads only its own operands, so any base file other
+    // than R is S.
+    let r_at = (r.1.disk, r.1.start_cylinder);
+    let s_at = s.map_or(r_at, |(_, m)| (m.disk, m.start_cylinder));
+    // Max-memory execution performs no temp I/O; this placement only
+    // matters for hypothetical constrained estimates.
+    let temp_at = (r.1.disk, geometry.num_cylinders / 6);
+    let mut placement = |file: FileRef| match file {
+        FileRef::Base(f) if f == r.0 => r_at,
+        FileRef::Base(_) => s_at,
+        FileRef::Temp(_) => temp_at,
+    };
+    // Priced on the configured device: a faster device shrinks both
+    // execution times and the deadlines derived from them, keeping the
+    // paper's slack *ratios*.
+    exec::standalone_time_on(
+        &mut op,
+        &resources.device,
+        &geometry,
+        &mut placement,
+        resources.cpu_mips,
+    )
 }
 
 /// Convenience: build and run in one call.

@@ -29,6 +29,6 @@ pub use config::{
     PhaseSchedule, QueryType, ResourceConfig, Scenario, SimConfig, SsdSpec, TenantSpec,
     TraceMode, WorkloadClass,
 };
-pub use engine::{run_simulation, Event, Simulator};
+pub use engine::{run_simulation, standalone_estimate, Event, Simulator};
 pub use faults::{DegradationMode, FaultPlan, FaultSpec, RetrySpec};
 pub use metrics::{ClassOutcome, RunReport, TenantOutcome, Timings, WindowPoint};

@@ -119,6 +119,23 @@ fn ring_keeps_the_most_recent_records() {
     );
 }
 
+/// An upper bound on the distinct operand pairs (or sort operands) the
+/// config's classes can draw: every group holds `relations_per_disk`
+/// relations per disk.
+fn distinct_operand_pairs(cfg: &SimConfig) -> u64 {
+    let group = |g: u32| {
+        u64::from(cfg.database[g as usize].relations_per_disk)
+            * u64::from(cfg.resources.num_disks)
+    };
+    cfg.classes
+        .iter()
+        .map(|c| match c.query_type {
+            QueryType::HashJoin { groups } => group(groups.0) * group(groups.1),
+            QueryType::ExternalSort { group: g } => group(g),
+        })
+        .sum()
+}
+
 /// The metrics registry agrees with the run report it rode along with, and
 /// its windowed counter deltas land on the report's window boundaries.
 #[test]
@@ -137,6 +154,13 @@ fn metrics_registry_agrees_with_report() {
     assert_eq!(counter("engine.missed"), r.missed);
     assert!(counter("engine.arrivals") >= r.served);
     assert!(counter("disk.cache_hits") <= counter("disk.requests"));
+    // Every arrival gets one stand-alone estimate; only the first query
+    // over each operand pair misses the cache and steps its operator.
+    let estimates = counter("engine.standalone_estimates");
+    let misses = estimates - counter("engine.standalone_cache_hits");
+    assert_eq!(estimates, counter("engine.arrivals"));
+    assert!(misses > 0);
+    assert!(misses <= distinct_operand_pairs(&short_baseline(0.06, 2_000.0)));
     assert_eq!(m.windows.len(), r.windows.len());
     for (mw, rw) in m.windows.iter().zip(&r.windows) {
         assert_eq!(mw.t_secs, rw.t_secs, "metrics windows share boundaries");
