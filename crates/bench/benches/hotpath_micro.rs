@@ -1,6 +1,7 @@
 //! Hot-path micro-benchmarks: the substrates the event loop spends its
-//! time in — the calendar (push/pop/cancel), the memory-division
-//! allocators behind `reallocate()`, the per-disk ED+elevator queue,
+//! time in — the calendar (push/pop/cancel, the hold model), the
+//! memory-division allocators behind `reallocate()`, the per-disk
+//! ED+elevator queue, the prefetch pool's read-miss path,
 //! operator stepping at paper-scale relation sizes, and one stand-alone
 //! deadline estimate (a cache miss in the engine).
 //!
@@ -19,7 +20,7 @@ use pmm_core::pmm::{
 };
 use pmm_core::rtdbs::{standalone_estimate, ResourceConfig};
 use pmm_core::simkit::{Calendar, Duration, SimTime};
-use pmm_core::storage::{DiskId, DiskQueue, FileId, FileMeta, QueuedRequest};
+use pmm_core::storage::{BufferPool, DiskId, DiskQueue, FileId, FileMeta, QueuedRequest};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random stream (SplitMix64) for bench inputs.
@@ -220,6 +221,31 @@ fn bench(c: &mut Criterion) {
             }
             black_box(live)
         })
+    });
+
+    // The hold model at a standing depth of 1 000 — about what the
+    // 10³-tenant runs keep queued (one arrival per tenant): each step pops
+    // the minimum and schedules its successor a random gap later, so every
+    // pop walks the full heap depth. 1 000 steps per iteration.
+    c.bench_function("calendar/hold_1k", |b| {
+        let mut cal = Calendar::new();
+        for i in 0..1_000u64 {
+            cal.schedule(SimTime(mix(i) % 1_000_000), i);
+        }
+        let mut k = 0u64;
+        let mut hold = |cal: &mut Calendar<u64>, steps: u32| {
+            let mut acc = 0u64;
+            for _ in 0..steps {
+                let (at, e) = cal.pop().expect("the hold model keeps 1 000 events");
+                acc = acc.wrapping_add(e);
+                k += 1;
+                cal.schedule(at + Duration(1 + mix(k) % 1_000_000), e);
+            }
+            acc
+        };
+        // Settle the heap into its steady-state shape before timing.
+        hold(&mut cal, 10_000);
+        b.iter(|| black_box(hold(&mut cal, 1_000)))
     });
 
     // Operator stepping at paper scale (Table 2 / Section 5.1 sizes):
@@ -556,6 +582,27 @@ fn bench(c: &mut Criterion) {
                 reg.inc(bursts, 1);
             }
             black_box(reg.report().counters.len())
+        })
+    });
+
+    // The prefetch pool's read-miss path at the shipped capacity (256 KB of
+    // 8 KB pages in 6-page lines: 5 lines): a lookup that misses, the
+    // block-aligned insert of the fetched line, and the eviction it
+    // forces. Almost every engine read takes this path. 1 000 misses per
+    // iteration.
+    c.bench_function("storage/pool_read_miss_5_lines", |b| {
+        let mut pool = BufferPool::new(32, 6);
+        let mut block = 0u32;
+        b.iter(|| {
+            let mut hits = 0u32;
+            for _ in 0..1_000 {
+                let file = FileId::Relation(block % 3);
+                let first = (block / 3) * 6;
+                block = block.wrapping_add(1);
+                hits += u32::from(pool.lookup(file, first, 6));
+                pool.insert(file, first, 6);
+            }
+            black_box(hits)
         })
     });
 

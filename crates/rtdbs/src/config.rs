@@ -67,6 +67,10 @@ pub enum ConfigError {
     /// The device's prefetch cache holds zero pages (zero cache bytes or
     /// zero page bytes).
     ZeroCacheCapacity,
+    /// The device's prefetch cache holds fewer pages than one
+    /// `exec.block_pages` line: the pool would have to hold a whole line
+    /// anyway, i.e. more than the configured bytes.
+    CacheSmallerThanBlock,
     /// No workload classes: nothing would ever arrive.
     NoClasses,
     /// An SSD device with queue depth 0 (its parallelism divisor).
@@ -121,6 +125,9 @@ impl std::fmt::Display for ConfigError {
         let msg = match self {
             ConfigError::ZeroBlockPages => "exec.block_pages must be positive",
             ConfigError::ZeroCacheCapacity => "device prefetch cache holds zero pages",
+            ConfigError::CacheSmallerThanBlock => {
+                "device prefetch cache holds fewer pages than exec.block_pages"
+            }
             ConfigError::NoClasses => "workload has no classes",
             ConfigError::ZeroSsdQueueDepth => "SSD queue depth must be positive",
             ConfigError::ZeroLruKHistory => "LRU-K history depth must be positive",
@@ -302,8 +309,12 @@ impl SimConfig {
         if r.exec.block_pages == 0 {
             return Err(ConfigError::ZeroBlockPages);
         }
-        if r.device.cache_pages(&r.geometry) == 0 {
+        let cache_pages = r.device.cache_pages(&r.geometry);
+        if cache_pages == 0 {
             return Err(ConfigError::ZeroCacheCapacity);
+        }
+        if cache_pages < r.exec.block_pages {
+            return Err(ConfigError::CacheSmallerThanBlock);
         }
         if self.classes.is_empty() {
             return Err(ConfigError::NoClasses);
@@ -742,6 +753,23 @@ mod tests {
             Err(ConfigError::ZeroCacheCapacity),
             "zero page bytes must not divide by zero"
         );
+
+        // 40 KB of 8 KB pages is 5 pages: less than one 6-page line.
+        let mut cfg = SimConfig::baseline(0.06);
+        cfg.resources.geometry.cache_bytes = 40 * 1024;
+        assert_eq!(cfg.validate(), Err(ConfigError::CacheSmallerThanBlock));
+        let cfg = SimConfig::baseline(0.06).with_device(DeviceSpec::Ssd(SsdSpec {
+            cache_bytes: 40 * 1024,
+            ..SsdSpec::default()
+        }));
+        assert_eq!(cfg.validate(), Err(ConfigError::CacheSmallerThanBlock));
+        let mut cfg = SimConfig::baseline(0.06);
+        cfg.resources.exec.block_pages = 33;
+        assert_eq!(cfg.validate(), Err(ConfigError::CacheSmallerThanBlock));
+        // Exactly one line is the smallest valid cache.
+        let mut cfg = SimConfig::baseline(0.06);
+        cfg.resources.exec.block_pages = 32;
+        assert_eq!(cfg.validate(), Ok(()));
 
         let mut cfg = SimConfig::baseline(0.06);
         cfg.classes.clear();

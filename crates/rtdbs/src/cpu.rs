@@ -7,13 +7,13 @@
 //! has the earliest deadline. Completion events are cancelled on preemption
 //! so no generation counters are needed.
 //!
-//! The ready queue is an 8-ary min-heap on `(deadline, query)` — the
-//! calendar's heap idiom — instead of the seed's `BTreeMap`: push and
-//! pop-min touch a flat `Vec` of 24-byte `Copy` entries with no node
-//! allocation or tree rebalancing on the per-burst hot path. Unlike the
-//! calendar no slab indirection is needed: entries carry their payload (the
-//! burst's remaining instructions) inline and there are no cancellation
-//! handles — the rare firm-abort removal scans the heap and re-heapifies.
+//! The ready queue is an 8-ary min-heap on `(deadline, query)` instead of
+//! the seed's `BTreeMap`: push and pop-min touch a flat `Vec` of 24-byte
+//! `Copy` entries with no node allocation or tree rebalancing on the
+//! per-burst hot path. Unlike the calendar no slab indirection is needed:
+//! entries carry their payload (the burst's remaining instructions) inline
+//! and there are no cancellation handles — the rare firm-abort removal
+//! scans the heap and re-heapifies.
 //! `(deadline, query)` is unique (a query has at most one outstanding
 //! burst), so pop-min is deterministic.
 

@@ -2,7 +2,7 @@
 //! FIFO tie-breaking and O(1) cancellation via generation handles.
 //!
 //! Events scheduled for the same instant pop in scheduling order, which keeps
-//! simulation runs reproducible. The implementation is an 8-ary min-heap of
+//! simulation runs reproducible. The implementation is a binary min-heap of
 //! `(time, seq)` keys over a slab of payload slots:
 //!
 //! * **No hashing on the hot path.** The seed implementation tracked
@@ -16,9 +16,14 @@
 //!   technique. Unlike the seed, the live-event count is exact: `len()`
 //!   counts scheduled-minus-(fired+cancelled), and cancelling after the
 //!   event fired is a true no-op (the seed undercounted forever after).
-//! * **8-ary layout.** Sift-down visits a third of the levels of a binary heap
-//!   with better cache locality; keys are compact `(u64, u64, u32)` triples
-//!   stored inline, payloads stay put in the slab.
+//! * **Binary heap, bottom-up pop.** Entries are `(u64, u64, u32)` triples
+//!   stored inline; payloads stay put in the slab. `(time, seq)` packs into
+//!   one `u128`, so each key comparison is branch-free. A pop walks the
+//!   root's hole down to a leaf along the smaller child — one comparison
+//!   per level instead of the two a top-down sift needs — and lets the
+//!   last entry sift up from there. Keys are unique (`seq` is), so the pop
+//!   order is fixed by the key order alone, whatever the heap's shape or
+//!   arity.
 //! * **Front-buffer fast path.** The dominant simulator pattern is
 //!   schedule-then-pop-min: a handler schedules the next completion, which
 //!   immediately pops as the global minimum. An event strictly earlier than
@@ -46,9 +51,13 @@ struct HeapEntry {
 }
 
 impl HeapEntry {
+    /// `(at, seq)` packed into one integer, time in the high word: integer
+    /// order is exactly the lexicographic order, and a comparison compiles
+    /// to a compare-with-borrow pair instead of two branches. No two
+    /// entries share a `seq`, so the order is strict and total.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn key(&self) -> u128 {
+        (u128::from(self.at.0) << 64) | u128::from(self.seq)
     }
 }
 
@@ -255,59 +264,53 @@ impl<E> Calendar<E> {
         (payload, was_cancelled)
     }
 
-    // ----- 8-ary heap on (at, seq) ---------------------------------------
+    // ----- binary heap on the packed (at, seq) key ----------------------
 
-    const ARITY: usize = 8;
-
-    /// Remove and return the root entry, restoring the heap property.
+    /// Remove and return the root entry, restoring the heap property
+    /// bottom-up: the hole left by the root walks to a leaf along the
+    /// smaller child (one branch-free comparison per level, none against
+    /// the displaced entry), then the last entry fills it and sifts up.
     fn pop_root(&mut self) -> Option<HeapEntry> {
         let root = *self.heap.first()?;
         let last = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+        let heap = &mut self.heap[..];
+        let n = heap.len();
+        if n == 0 {
+            return Some(root);
         }
+        let mut hole = 0;
+        loop {
+            let left = 2 * hole + 1;
+            let right = left + 1;
+            if right >= n {
+                if left < n {
+                    heap[hole] = heap[left];
+                    hole = left;
+                }
+                break;
+            }
+            let child = left + usize::from(heap[right].key() < heap[left].key());
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        heap[hole] = last;
+        self.sift_up(hole);
         Some(root)
     }
 
     fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
+        let heap = &mut self.heap[..];
+        let entry = heap[i];
+        let key = entry.key();
         while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if self.heap[parent].key() <= entry.key() {
+            let parent = (i - 1) / 2;
+            if heap[parent].key() < key {
                 break;
             }
-            self.heap[i] = self.heap[parent];
+            heap[i] = heap[parent];
             i = parent;
         }
-        self.heap[i] = entry;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        let n = self.heap.len();
-        loop {
-            let first_child = i * Self::ARITY + 1;
-            if first_child >= n {
-                break;
-            }
-            let last_child = (first_child + Self::ARITY).min(n);
-            let mut best = first_child;
-            let mut best_key = self.heap[first_child].key();
-            for c in first_child + 1..last_child {
-                let k = self.heap[c].key();
-                if k < best_key {
-                    best = c;
-                    best_key = k;
-                }
-            }
-            if best_key >= entry.key() {
-                break;
-            }
-            self.heap[i] = self.heap[best];
-            i = best;
-        }
-        self.heap[i] = entry;
+        heap[i] = entry;
     }
 }
 

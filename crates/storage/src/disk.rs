@@ -1,4 +1,4 @@
-//! One physical disk: a pluggable [`ServiceModel`], a prefetch
+//! One physical disk: a service model ([`Device`]), a prefetch
 //! [`BufferPool`], and an ED+elevator queue; plus [`DiskFarm`], the set of
 //! disks.
 //!
@@ -19,7 +19,7 @@
 use crate::layout::FileId;
 use crate::pool::{BufferPool, EvictionSpec};
 use crate::queue::{DiskQueue, QueuedRequest};
-use crate::service::ServiceModel;
+use crate::service::{Device, ServiceModel};
 use simkit::metrics::Utilization;
 use simkit::{Duration, SimTime};
 
@@ -124,7 +124,7 @@ impl RetrySpec {
 /// the simulator's fault plan.
 pub struct Disk {
     /// Timing and positional state of the device.
-    model: Box<dyn ServiceModel>,
+    model: Device,
     queue: DiskQueue<Access>,
     busy: bool,
     cache: BufferPool,
@@ -144,7 +144,7 @@ impl Disk {
     /// A new idle disk running `model`, with a prefetch pool sized by the
     /// model's cache capacity and evicting per `eviction`.
     pub fn new(
-        model: Box<dyn ServiceModel>,
+        model: Device,
         eviction: EvictionSpec,
         block_pages: u32,
         start: SimTime,
@@ -186,8 +186,8 @@ impl Disk {
     }
 
     /// The device's service model (for introspection/tests).
-    pub fn model(&self) -> &dyn ServiceModel {
-        &*self.model
+    pub fn model(&self) -> &Device {
+        &self.model
     }
 
     /// Queue an access with ED priority `deadline`. The current head
@@ -271,19 +271,19 @@ impl Disk {
     fn service(&mut self, access: &Access, queued: usize) -> Service {
         match access.kind {
             IoKind::Read => {
+                let (first_block, last_block) =
+                    self.cache.blocks_of(access.first_page, access.pages);
                 if self
                     .cache
-                    .lookup(access.file, access.first_page, access.pages)
+                    .lookup_blocks(access.file, first_block, last_block)
                 {
                     return Service::CacheHit;
                 }
                 // Fetch: with prefetch on, round the fetch up to whole
                 // blocks starting at the block boundary.
+                let lines = last_block - first_block + 1;
                 let fetch_pages = if access.prefetch {
-                    let bp = self.cache.block_pages();
-                    let first_block = access.first_page / bp;
-                    let last_block = (access.first_page + access.pages.max(1) - 1) / bp;
-                    (last_block - first_block + 1) * bp
+                    lines * self.cache.block_pages()
                 } else {
                     access.pages.max(1)
                 };
@@ -294,12 +294,7 @@ impl Disk {
                     queued,
                 );
                 if access.prefetch {
-                    let bp = self.cache.block_pages();
-                    self.cache.insert(
-                        access.file,
-                        (access.first_page / bp) * bp,
-                        fetch_pages,
-                    );
+                    self.cache.insert_blocks(access.file, first_block, lines);
                 }
                 Service::Media { time }
             }
@@ -369,7 +364,7 @@ pub struct DiskFarm {
 
 impl DiskFarm {
     /// `n` identical disks, each running a fresh model from `make_model`.
-    pub fn new<F: Fn() -> Box<dyn ServiceModel>>(
+    pub fn new<F: Fn() -> Device>(
         n: u32,
         make_model: F,
         eviction: EvictionSpec,
@@ -435,7 +430,7 @@ mod tests {
 
     fn cyl_disk() -> Disk {
         Disk::new(
-            Box::new(CylinderModel::new(DiskGeometry::default())),
+            Device::Cylinder(CylinderModel::new(DiskGeometry::default())),
             EvictionSpec::Lru,
             6,
             SimTime::ZERO,
@@ -444,7 +439,7 @@ mod tests {
 
     fn ssd_disk() -> Disk {
         Disk::new(
-            Box::new(SsdModel::new(SsdSpec::default())),
+            Device::Ssd(SsdModel::new(SsdSpec::default())),
             EvictionSpec::Lru,
             6,
             SimTime::ZERO,

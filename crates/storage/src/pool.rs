@@ -3,20 +3,27 @@
 //! Section 4.2 gives each disk a 256-KByte prefetch cache; the seed
 //! hard-wired LRU eviction into `PrefetchCache`. This module generalizes it
 //! into [`BufferPool`] — hit/miss accounting plus block-granular line
-//! management — over an [`EvictionPolicy`] trait with two implementations:
+//! management — over the [`EvictionPolicy`] contract, implemented three
+//! times:
 //!
-//! * [`IndexedLru`] — the existing LRU order (slab doubly-linked list +
-//!   capacity-sized key index), semantics identical to the seed's deque
-//!   cache and pinned by `crates/storage/tests/lru_model.rs` and the golden
-//!   report.
+//! * [`FlatLru`] — LRU as one recency-ordered array, for pools of at most
+//!   [`FlatLru::MAX_LINES`] lines. Every shipped device has 5 lines
+//!   (256 KB / 8 KB pages / 6-page blocks), so this is the order the
+//!   simulator runs: a scan, a rotate on a hit, a front removal on
+//!   eviction.
+//! * [`IndexedLru`] — the same LRU order for larger pools: a slab
+//!   doubly-linked list plus a key index, O(1) per operation.
 //! * [`LruKPolicy`] — LRU-K \[O'Neil et al. 93\]: each line keeps its last
 //!   `K` access stamps; the victim is the line whose K-th most recent
 //!   access is oldest, with lines holding fewer than `K` stamps evicted
 //!   first (oldest first access breaks the tie). LRU-1 degenerates to
 //!   exact LRU.
 //!
-//! [`EvictionSpec`] is the configuration-surface enum selecting a policy,
-//! mirroring `DeviceSpec` on the device axis.
+//! Both LRU orders are pinned against the seed's deque cache, and LRU-K
+//! against a naive transcription, by `crates/storage/tests/lru_model.rs`
+//! and the golden report. [`EvictionSpec`] is the configuration-surface
+//! enum selecting a policy, mirroring `DeviceSpec` on the device axis; it
+//! builds the closed [`Eviction`] enum the pool dispatches over.
 
 use crate::layout::FileId;
 use std::collections::HashMap;
@@ -96,7 +103,7 @@ enum KeyIndex {
 
 impl KeyIndex {
     /// Largest capacity (entries) served by the linear index.
-    const SMALL_MAX: usize = 32;
+    const SMALL_MAX: usize = FlatLru::MAX_LINES;
 
     fn with_capacity(entries: usize) -> Self {
         if entries <= Self::SMALL_MAX {
@@ -148,10 +155,12 @@ impl KeyIndex {
 
 /// How a [`BufferPool`] orders its lines for replacement.
 ///
-/// Object-safe: the pool boxes one, selected by [`EvictionSpec`]. The
-/// contract mirrors what block-granular caching needs — membership,
-/// access recording, insertion (which records an access when the line is
-/// already resident), victim selection, and filtered invalidation.
+/// The pool runs one through the closed [`Eviction`] enum, selected by
+/// [`EvictionSpec`]; the trait stays object-safe so tests can drive any
+/// policy behind one interface. The contract mirrors what block-granular
+/// caching needs — membership, access recording, insertion (which records
+/// an access when the line is already resident), victim selection, and
+/// filtered invalidation.
 pub trait EvictionPolicy: std::fmt::Debug + Send {
     /// Short policy name for reports (`"lru"`, `"lru-2"`).
     fn name(&self) -> String;
@@ -182,12 +191,12 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool);
 }
 
-/// Indexed LRU order: a doubly-linked list over a slab of nodes plus a
-/// capacity-sized `KeyIndex` from key to slot. Every operation the
-/// buffer pool needs — membership, move-to-back, insert, evict-front,
-/// retain — is O(1) in the list (retain is O(len)), replacing the
-/// `VecDeque::contains` / `position` linear scans that ran on every read
-/// service. The observable order semantics are *identical* to the seed's
+/// Indexed LRU order for pools larger than [`FlatLru::MAX_LINES`]: a
+/// doubly-linked list over a slab of nodes plus a capacity-sized
+/// `KeyIndex` from key to slot. Every operation the buffer pool needs —
+/// membership, move-to-back, insert, evict-front, retain — is O(1) in the
+/// list (retain is O(len)), where a scan would grow with the pool. The
+/// observable order semantics are *identical* to the seed's
 /// deque version — `crates/storage/tests/lru_model.rs` pins that against a
 /// reference model.
 #[derive(Debug)]
@@ -314,6 +323,76 @@ impl EvictionPolicy for IndexedLru {
             }
             cur = next;
         }
+    }
+}
+
+/// LRU order for small pools: the resident lines in one array, least
+/// recently used first. Membership is a scan, a hit rotates the line to
+/// the MRU end, and eviction removes the front. At the paper's 5 lines the
+/// whole order fits in two cache lines, so this beats the slab list plus
+/// key index of [`IndexedLru`] on every operation; [`EvictionSpec::build`]
+/// picks it for pools of at most [`FlatLru::MAX_LINES`] lines. Pinned
+/// against the seed's deque cache by `crates/storage/tests/lru_model.rs`.
+#[derive(Debug)]
+pub struct FlatLru {
+    /// Resident lines, LRU at index 0, MRU at the end.
+    lines: Vec<CacheKey>,
+}
+
+impl FlatLru {
+    /// Largest pool (lines) served by the flat order.
+    pub const MAX_LINES: usize = 32;
+
+    /// An empty order sized for `capacity_entries` lines (one spare slot:
+    /// the pool inserts before it evicts).
+    pub fn new(capacity_entries: usize) -> Self {
+        FlatLru {
+            lines: Vec::with_capacity(capacity_entries + 1),
+        }
+    }
+
+    /// Move the line at `at` to the MRU end.
+    fn promote(&mut self, at: usize) {
+        self.lines[at..].rotate_left(1);
+    }
+}
+
+impl EvictionPolicy for FlatLru {
+    fn name(&self) -> String {
+        "lru".into()
+    }
+
+    fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    fn contains(&self, key: &CacheKey) -> bool {
+        self.lines.contains(key)
+    }
+
+    fn touch(&mut self, key: &CacheKey) {
+        if let Some(at) = self.lines.iter().position(|k| k == key) {
+            self.promote(at);
+        }
+    }
+
+    fn insert(&mut self, key: CacheKey) {
+        match self.lines.iter().position(|k| *k == key) {
+            Some(at) => self.promote(at),
+            None => self.lines.push(key),
+        }
+    }
+
+    fn evict(&mut self) -> Option<CacheKey> {
+        if self.lines.is_empty() {
+            None
+        } else {
+            Some(self.lines.remove(0))
+        }
+    }
+
+    fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool) {
+        self.lines.retain(|k| pred(k));
     }
 }
 
@@ -478,12 +557,80 @@ impl EvictionSpec {
         }
     }
 
-    /// Build a fresh policy sized for `capacity_entries` lines.
-    pub fn build(&self, capacity_entries: usize) -> Box<dyn EvictionPolicy> {
+    /// Build a fresh policy sized for `capacity_entries` lines. LRU pools
+    /// of at most [`FlatLru::MAX_LINES`] lines (every shipped device has 5)
+    /// get the flat order, larger ones the indexed list.
+    pub fn build(&self, capacity_entries: usize) -> Eviction {
         match self {
-            EvictionSpec::Lru => Box::new(IndexedLru::new(capacity_entries)),
-            EvictionSpec::LruK { k } => Box::new(LruKPolicy::new(*k, capacity_entries)),
+            EvictionSpec::Lru if capacity_entries <= FlatLru::MAX_LINES => {
+                Eviction::FlatLru(FlatLru::new(capacity_entries))
+            }
+            EvictionSpec::Lru => Eviction::IndexedLru(IndexedLru::new(capacity_entries)),
+            EvictionSpec::LruK { k } => {
+                Eviction::LruK(LruKPolicy::new(*k, capacity_entries))
+            }
         }
+    }
+}
+
+/// The eviction policies a [`BufferPool`] can run, as a closed set: the
+/// pool dispatches with a `match` the compiler can inline into the
+/// read-service path instead of a virtual call per cache operation. The
+/// two LRU arms behave identically; which one runs depends only on the
+/// pool's size.
+#[derive(Debug)]
+pub enum Eviction {
+    /// LRU over a small pool (at most [`FlatLru::MAX_LINES`] lines).
+    FlatLru(FlatLru),
+    /// LRU over a large pool.
+    IndexedLru(IndexedLru),
+    /// LRU-K.
+    LruK(LruKPolicy),
+}
+
+/// Forward one [`EvictionPolicy`] call to whichever policy is built in.
+macro_rules! dispatch {
+    ($self:ident, $p:ident => $call:expr) => {
+        match $self {
+            Eviction::FlatLru($p) => $call,
+            Eviction::IndexedLru($p) => $call,
+            Eviction::LruK($p) => $call,
+        }
+    };
+}
+
+impl EvictionPolicy for Eviction {
+    fn name(&self) -> String {
+        dispatch!(self, p => p.name())
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        dispatch!(self, p => p.len())
+    }
+
+    #[inline]
+    fn contains(&self, key: &CacheKey) -> bool {
+        dispatch!(self, p => p.contains(key))
+    }
+
+    #[inline]
+    fn touch(&mut self, key: &CacheKey) {
+        dispatch!(self, p => p.touch(key))
+    }
+
+    #[inline]
+    fn insert(&mut self, key: CacheKey) {
+        dispatch!(self, p => p.insert(key))
+    }
+
+    #[inline]
+    fn evict(&mut self) -> Option<CacheKey> {
+        dispatch!(self, p => p.evict())
+    }
+
+    fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool) {
+        dispatch!(self, p => p.retain(pred))
     }
 }
 
@@ -495,7 +642,7 @@ impl EvictionSpec {
 pub struct BufferPool {
     capacity_blocks: usize,
     block_pages: u32,
-    policy: Box<dyn EvictionPolicy>,
+    policy: Eviction,
     hits: u64,
     misses: u64,
 }
@@ -538,20 +685,31 @@ impl BufferPool {
         self.policy.name()
     }
 
-    fn key(&self, file: FileId, page: u32) -> CacheKey {
-        CacheKey {
-            file,
-            block: page / self.block_pages,
-        }
+    /// The lines `(first block, last block)` covering `[first, first+pages)`.
+    pub(crate) fn blocks_of(&self, first: u32, pages: u32) -> (u32, u32) {
+        (
+            first / self.block_pages,
+            (first + pages.max(1) - 1) / self.block_pages,
+        )
     }
 
     /// True if every page of `[first, first+pages)` of `file` is cached.
-    /// Records the accesses (policy update) on a full hit. Runs on every
-    /// read service; membership and the touch are both O(1) per block
-    /// through the indexed order.
+    /// Records the accesses (policy update) on a full hit.
     pub fn lookup(&mut self, file: FileId, first: u32, pages: u32) -> bool {
-        let first_block = first / self.block_pages;
-        let last_block = (first + pages.max(1) - 1) / self.block_pages;
+        let (first_block, last_block) = self.blocks_of(first, pages);
+        self.lookup_blocks(file, first_block, last_block)
+    }
+
+    /// [`BufferPool::lookup`] over the lines `first_block..=last_block`,
+    /// for callers that already hold the block range (the disk's read
+    /// service computes it once for the lookup, the fetch size and the
+    /// insert). Runs on every read service.
+    pub(crate) fn lookup_blocks(
+        &mut self,
+        file: FileId,
+        first_block: u32,
+        last_block: u32,
+    ) -> bool {
         let all_present = (first_block..=last_block)
             .all(|block| self.policy.contains(&CacheKey { file, block }));
         if all_present {
@@ -565,11 +723,18 @@ impl BufferPool {
         all_present
     }
 
-    /// Insert the lines covering `[first, first+pages)` of `file`.
+    /// Insert the lines covering `[first, first+pages)` of `file`, one
+    /// line per `block_pages` stride from `first`.
     pub fn insert(&mut self, file: FileId, first: u32, pages: u32) {
-        for p in (first..first + pages.max(1)).step_by(self.block_pages as usize) {
-            let k = self.key(file, p);
-            self.policy.insert(k);
+        let lines = pages.max(1).div_ceil(self.block_pages);
+        self.insert_blocks(file, first / self.block_pages, lines);
+    }
+
+    /// Insert `lines` consecutive lines of `file` starting at `first_block`,
+    /// evicting as each one lands.
+    pub(crate) fn insert_blocks(&mut self, file: FileId, first_block: u32, lines: u32) {
+        for block in first_block..first_block + lines {
+            self.policy.insert(CacheKey { file, block });
             while self.policy.len() > self.capacity_blocks {
                 self.policy.evict();
             }
@@ -660,6 +825,37 @@ mod tests {
         p.insert(key(2, 0));
         p.insert(key(2, 0));
         assert_eq!(p.evict(), Some(key(1, 0)), "fresh full history wins");
+    }
+
+    #[test]
+    fn lru_order_switches_at_max_flat_lines() {
+        let flat = FlatLru::MAX_LINES;
+        assert!(matches!(
+            EvictionSpec::Lru.build(flat),
+            Eviction::FlatLru(_)
+        ));
+        assert!(matches!(
+            EvictionSpec::Lru.build(flat + 1),
+            Eviction::IndexedLru(_)
+        ));
+        assert!(matches!(
+            EvictionSpec::LruK { k: 2 }.build(5),
+            Eviction::LruK(_)
+        ));
+    }
+
+    #[test]
+    fn flat_lru_promotes_on_hit_and_evicts_the_front() {
+        let mut p = FlatLru::new(3);
+        for b in 0..3 {
+            p.insert(key(0, b));
+        }
+        p.touch(&key(0, 0));
+        p.insert(key(0, 1)); // re-insert = touch
+        assert_eq!(p.evict(), Some(key(0, 2)));
+        assert_eq!(p.evict(), Some(key(0, 0)));
+        assert_eq!(p.evict(), Some(key(0, 1)));
+        assert_eq!(p.evict(), None);
     }
 
     #[test]
