@@ -271,19 +271,19 @@ impl Disk {
     fn service(&mut self, access: &Access, queued: usize) -> Service {
         match access.kind {
             IoKind::Read => {
-                let (first_block, last_block) =
-                    self.cache.blocks_of(access.first_page, access.pages);
                 if self
                     .cache
-                    .lookup_blocks(access.file, first_block, last_block)
+                    .lookup(access.file, access.first_page, access.pages)
                 {
                     return Service::CacheHit;
                 }
                 // Fetch: with prefetch on, round the fetch up to whole
                 // blocks starting at the block boundary.
-                let lines = last_block - first_block + 1;
                 let fetch_pages = if access.prefetch {
-                    lines * self.cache.block_pages()
+                    let bp = self.cache.block_pages();
+                    let first_block = access.first_page / bp;
+                    let last_block = (access.first_page + access.pages.max(1) - 1) / bp;
+                    (last_block - first_block + 1) * bp
                 } else {
                     access.pages.max(1)
                 };
@@ -294,7 +294,12 @@ impl Disk {
                     queued,
                 );
                 if access.prefetch {
-                    self.cache.insert_blocks(access.file, first_block, lines);
+                    let bp = self.cache.block_pages();
+                    self.cache.insert(
+                        access.file,
+                        (access.first_page / bp) * bp,
+                        fetch_pages,
+                    );
                 }
                 Service::Media { time }
             }

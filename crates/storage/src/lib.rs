@@ -36,7 +36,7 @@ pub use geometry::{DiskGeometry, ServiceTable};
 pub use layout::{DiskId, FileId, FileMeta, Layout, RelationGroupSpec, RelationMeta};
 pub use pool::{
     BufferPool, CacheKey, Eviction, EvictionPolicy, EvictionSpec, FastHasher, FastMap,
-    FlatLru, IndexedLru, LruKPolicy, PrefetchCache,
+    FlatLru, LruKPolicy, PrefetchCache,
 };
 pub use queue::{DiskQueue, QueuedRequest};
 pub use service::{CylinderModel, Device, DeviceSpec, ServiceModel, SsdModel, SsdSpec};

@@ -6,20 +6,17 @@
 //! management — over the [`EvictionPolicy`] contract, implemented three
 //! times:
 //!
-//! * [`FlatLru`] — LRU as one recency-ordered array, for pools of at most
-//!   [`FlatLru::MAX_LINES`] lines. Every shipped device has 5 lines
-//!   (256 KB / 8 KB pages / 6-page blocks), so this is the order the
-//!   simulator runs: a scan, a rotate on a hit, a front removal on
-//!   eviction.
-//! * [`IndexedLru`] — the same LRU order for larger pools: a slab
-//!   doubly-linked list plus a key index, O(1) per operation.
+//! * [`FlatLru`] — LRU as one recency-ordered array: a scan, a rotate on
+//!   a hit, a front removal on eviction. Every shipped device has 5 lines
+//!   (256 KB / 8 KB pages / 6-page blocks), where this beats a linked list
+//!   plus key index on every operation.
 //! * [`LruKPolicy`] — LRU-K \[O'Neil et al. 93\]: each line keeps its last
 //!   `K` access stamps; the victim is the line whose K-th most recent
 //!   access is oldest, with lines holding fewer than `K` stamps evicted
 //!   first (oldest first access breaks the tie). LRU-1 degenerates to
 //!   exact LRU.
 //!
-//! Both LRU orders are pinned against the seed's deque cache, and LRU-K
+//! LRU is pinned against the seed's deque cache, and LRU-K
 //! against a naive transcription, by `crates/storage/tests/lru_model.rs`
 //! and the golden report. [`EvictionSpec`] is the configuration-surface
 //! enum selecting a policy, mirroring `DeviceSpec` on the device axis; it
@@ -76,17 +73,6 @@ pub struct CacheKey {
     pub block: u32,
 }
 
-/// Slot sentinel for the ends of the [`IndexedLru`] list.
-const LRU_NIL: u32 = u32::MAX;
-
-/// One slab node of the LRU list.
-#[derive(Clone, Copy, Debug)]
-struct LruNode {
-    key: CacheKey,
-    prev: u32,
-    next: u32,
-}
-
 /// Key → slot index of an eviction order, sized to the cache it serves: at
 /// the paper's 5-line capacity a linear scan over a flat pair vector wins
 /// (the profile showed even a fast-hashed map dominating the read-service
@@ -103,7 +89,7 @@ enum KeyIndex {
 
 impl KeyIndex {
     /// Largest capacity (entries) served by the linear index.
-    const SMALL_MAX: usize = FlatLru::MAX_LINES;
+    const SMALL_MAX: usize = 32;
 
     fn with_capacity(entries: usize) -> Self {
         if entries <= Self::SMALL_MAX {
@@ -191,148 +177,11 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool);
 }
 
-/// Indexed LRU order for pools larger than [`FlatLru::MAX_LINES`]: a
-/// doubly-linked list over a slab of nodes plus a capacity-sized
-/// `KeyIndex` from key to slot. Every operation the buffer pool needs —
-/// membership, move-to-back, insert, evict-front, retain — is O(1) in the
-/// list (retain is O(len)), where a scan would grow with the pool. The
-/// observable order semantics are *identical* to the seed's
-/// deque version — `crates/storage/tests/lru_model.rs` pins that against a
-/// reference model.
-#[derive(Debug)]
-pub struct IndexedLru {
-    index: KeyIndex,
-    nodes: Vec<LruNode>,
-    free: Vec<u32>,
-    /// Least-recently-used end (the eviction victim).
-    head: u32,
-    /// Most-recently-used end.
-    tail: u32,
-}
-
-impl IndexedLru {
-    /// An empty order sized for `capacity_entries` lines.
-    pub fn new(capacity_entries: usize) -> Self {
-        IndexedLru {
-            index: KeyIndex::with_capacity(capacity_entries),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: LRU_NIL,
-            tail: LRU_NIL,
-        }
-    }
-
-    /// Detach `slot` from the list (it stays allocated).
-    fn unlink(&mut self, slot: u32) {
-        let LruNode { prev, next, .. } = self.nodes[slot as usize];
-        if prev == LRU_NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev as usize].next = next;
-        }
-        if next == LRU_NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next as usize].prev = prev;
-        }
-    }
-
-    /// Attach a detached `slot` at the MRU end.
-    fn link_back(&mut self, slot: u32) {
-        let node = &mut self.nodes[slot as usize];
-        node.prev = self.tail;
-        node.next = LRU_NIL;
-        if self.tail == LRU_NIL {
-            self.head = slot;
-        } else {
-            self.nodes[self.tail as usize].next = slot;
-        }
-        self.tail = slot;
-    }
-}
-
-impl EvictionPolicy for IndexedLru {
-    fn name(&self) -> String {
-        "lru".into()
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn contains(&self, key: &CacheKey) -> bool {
-        self.index.get(key).is_some()
-    }
-
-    /// Move `key` to the MRU end if present.
-    fn touch(&mut self, key: &CacheKey) {
-        if let Some(slot) = self.index.get(key) {
-            self.unlink(slot);
-            self.link_back(slot);
-        }
-    }
-
-    /// Insert `key` at the MRU end (moving it there if already present —
-    /// the deque version's remove + push_back).
-    fn insert(&mut self, key: CacheKey) {
-        if let Some(slot) = self.index.get(&key) {
-            self.unlink(slot);
-            self.link_back(slot);
-            return;
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.nodes[s as usize].key = key;
-                s
-            }
-            None => {
-                let s = u32::try_from(self.nodes.len()).expect("cache fits u32 slots");
-                self.nodes.push(LruNode {
-                    key,
-                    prev: LRU_NIL,
-                    next: LRU_NIL,
-                });
-                s
-            }
-        };
-        self.index.insert(key, slot);
-        self.link_back(slot);
-    }
-
-    /// Evict the LRU entry.
-    fn evict(&mut self) -> Option<CacheKey> {
-        if self.head == LRU_NIL {
-            return None;
-        }
-        let slot = self.head;
-        let key = self.nodes[slot as usize].key;
-        self.unlink(slot);
-        self.free.push(slot);
-        self.index.remove(&key);
-        Some(key)
-    }
-
-    fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool) {
-        let mut cur = self.head;
-        while cur != LRU_NIL {
-            let LruNode { key, next, .. } = self.nodes[cur as usize];
-            if !pred(&key) {
-                self.unlink(cur);
-                self.free.push(cur);
-                self.index.remove(&key);
-            }
-            cur = next;
-        }
-    }
-}
-
-/// LRU order for small pools: the resident lines in one array, least
-/// recently used first. Membership is a scan, a hit rotates the line to
-/// the MRU end, and eviction removes the front. At the paper's 5 lines the
-/// whole order fits in two cache lines, so this beats the slab list plus
-/// key index of [`IndexedLru`] on every operation; [`EvictionSpec::build`]
-/// picks it for pools of at most [`FlatLru::MAX_LINES`] lines. Pinned
-/// against the seed's deque cache by `crates/storage/tests/lru_model.rs`.
+/// LRU order: the resident lines in one array, least recently used first.
+/// Membership is a scan, a hit rotates the line to the MRU end, and
+/// eviction removes the front, so every operation is O(lines). At the
+/// paper's 5 lines the whole order fits in two cache lines. Pinned against
+/// the seed's deque cache by `crates/storage/tests/lru_model.rs`.
 #[derive(Debug)]
 pub struct FlatLru {
     /// Resident lines, LRU at index 0, MRU at the end.
@@ -340,9 +189,6 @@ pub struct FlatLru {
 }
 
 impl FlatLru {
-    /// Largest pool (lines) served by the flat order.
-    pub const MAX_LINES: usize = 32;
-
     /// An empty order sized for `capacity_entries` lines (one spare slot:
     /// the pool inserts before it evicts).
     pub fn new(capacity_entries: usize) -> Self {
@@ -557,15 +403,10 @@ impl EvictionSpec {
         }
     }
 
-    /// Build a fresh policy sized for `capacity_entries` lines. LRU pools
-    /// of at most [`FlatLru::MAX_LINES`] lines (every shipped device has 5)
-    /// get the flat order, larger ones the indexed list.
+    /// Build a fresh policy sized for `capacity_entries` lines.
     pub fn build(&self, capacity_entries: usize) -> Eviction {
         match self {
-            EvictionSpec::Lru if capacity_entries <= FlatLru::MAX_LINES => {
-                Eviction::FlatLru(FlatLru::new(capacity_entries))
-            }
-            EvictionSpec::Lru => Eviction::IndexedLru(IndexedLru::new(capacity_entries)),
+            EvictionSpec::Lru => Eviction::Lru(FlatLru::new(capacity_entries)),
             EvictionSpec::LruK { k } => {
                 Eviction::LruK(LruKPolicy::new(*k, capacity_entries))
             }
@@ -575,15 +416,11 @@ impl EvictionSpec {
 
 /// The eviction policies a [`BufferPool`] can run, as a closed set: the
 /// pool dispatches with a `match` the compiler can inline into the
-/// read-service path instead of a virtual call per cache operation. The
-/// two LRU arms behave identically; which one runs depends only on the
-/// pool's size.
+/// read-service path instead of a virtual call per cache operation.
 #[derive(Debug)]
 pub enum Eviction {
-    /// LRU over a small pool (at most [`FlatLru::MAX_LINES`] lines).
-    FlatLru(FlatLru),
-    /// LRU over a large pool.
-    IndexedLru(IndexedLru),
+    /// LRU.
+    Lru(FlatLru),
     /// LRU-K.
     LruK(LruKPolicy),
 }
@@ -592,8 +429,7 @@ pub enum Eviction {
 macro_rules! dispatch {
     ($self:ident, $p:ident => $call:expr) => {
         match $self {
-            Eviction::FlatLru($p) => $call,
-            Eviction::IndexedLru($p) => $call,
+            Eviction::Lru($p) => $call,
             Eviction::LruK($p) => $call,
         }
     };
@@ -685,31 +521,19 @@ impl BufferPool {
         self.policy.name()
     }
 
-    /// The lines `(first block, last block)` covering `[first, first+pages)`.
-    pub(crate) fn blocks_of(&self, first: u32, pages: u32) -> (u32, u32) {
-        (
-            first / self.block_pages,
-            (first + pages.max(1) - 1) / self.block_pages,
-        )
+    fn key(&self, file: FileId, page: u32) -> CacheKey {
+        CacheKey {
+            file,
+            block: page / self.block_pages,
+        }
     }
 
     /// True if every page of `[first, first+pages)` of `file` is cached.
-    /// Records the accesses (policy update) on a full hit.
+    /// Records the accesses (policy update) on a full hit. Runs on every
+    /// read service.
     pub fn lookup(&mut self, file: FileId, first: u32, pages: u32) -> bool {
-        let (first_block, last_block) = self.blocks_of(first, pages);
-        self.lookup_blocks(file, first_block, last_block)
-    }
-
-    /// [`BufferPool::lookup`] over the lines `first_block..=last_block`,
-    /// for callers that already hold the block range (the disk's read
-    /// service computes it once for the lookup, the fetch size and the
-    /// insert). Runs on every read service.
-    pub(crate) fn lookup_blocks(
-        &mut self,
-        file: FileId,
-        first_block: u32,
-        last_block: u32,
-    ) -> bool {
+        let first_block = first / self.block_pages;
+        let last_block = (first + pages.max(1) - 1) / self.block_pages;
         let all_present = (first_block..=last_block)
             .all(|block| self.policy.contains(&CacheKey { file, block }));
         if all_present {
@@ -723,18 +547,11 @@ impl BufferPool {
         all_present
     }
 
-    /// Insert the lines covering `[first, first+pages)` of `file`, one
-    /// line per `block_pages` stride from `first`.
+    /// Insert the lines covering `[first, first+pages)` of `file`.
     pub fn insert(&mut self, file: FileId, first: u32, pages: u32) {
-        let lines = pages.max(1).div_ceil(self.block_pages);
-        self.insert_blocks(file, first / self.block_pages, lines);
-    }
-
-    /// Insert `lines` consecutive lines of `file` starting at `first_block`,
-    /// evicting as each one lands.
-    pub(crate) fn insert_blocks(&mut self, file: FileId, first_block: u32, lines: u32) {
-        for block in first_block..first_block + lines {
-            self.policy.insert(CacheKey { file, block });
+        for p in (first..first + pages.max(1)).step_by(self.block_pages as usize) {
+            let k = self.key(file, p);
+            self.policy.insert(k);
             while self.policy.len() > self.capacity_blocks {
                 self.policy.evict();
             }
@@ -825,23 +642,6 @@ mod tests {
         p.insert(key(2, 0));
         p.insert(key(2, 0));
         assert_eq!(p.evict(), Some(key(1, 0)), "fresh full history wins");
-    }
-
-    #[test]
-    fn lru_order_switches_at_max_flat_lines() {
-        let flat = FlatLru::MAX_LINES;
-        assert!(matches!(
-            EvictionSpec::Lru.build(flat),
-            Eviction::FlatLru(_)
-        ));
-        assert!(matches!(
-            EvictionSpec::Lru.build(flat + 1),
-            Eviction::IndexedLru(_)
-        ));
-        assert!(matches!(
-            EvictionSpec::LruK { k: 2 }.build(5),
-            Eviction::LruK(_)
-        ));
     }
 
     #[test]
