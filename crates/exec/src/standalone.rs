@@ -19,7 +19,7 @@
 
 use crate::op::{Action, FileRef, Operator};
 use simkit::Duration;
-use storage::{Device, DeviceSpec, DiskGeometry, DiskId, ServiceModel};
+use storage::{DeviceSpec, DiskGeometry, DiskId, ServiceModel};
 
 /// Resolves an operator-visible file to its physical placement.
 pub trait Placement {
@@ -78,7 +78,7 @@ pub fn standalone_time_on<O: Operator + ?Sized, P: Placement>(
 ) -> Duration {
     assert!(cpu_mips > 0.0, "MIPS rating must be positive");
     let mut total = Duration::ZERO;
-    let mut models: Vec<(DiskId, Device)> = Vec::new();
+    let mut models: Vec<(DiskId, Box<dyn ServiceModel>)> = Vec::new();
     for _ in 0..50_000_000u64 {
         match op.step() {
             Action::Cpu(instr) => {

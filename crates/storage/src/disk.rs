@@ -1,4 +1,4 @@
-//! One physical disk: a service model ([`Device`]), a prefetch
+//! One physical disk: a pluggable [`ServiceModel`], a prefetch
 //! [`BufferPool`], and an ED+elevator queue; plus [`DiskFarm`], the set of
 //! disks.
 //!
@@ -19,7 +19,7 @@
 use crate::layout::FileId;
 use crate::pool::{BufferPool, EvictionSpec};
 use crate::queue::{DiskQueue, QueuedRequest};
-use crate::service::{Device, ServiceModel};
+use crate::service::ServiceModel;
 use simkit::metrics::Utilization;
 use simkit::{Duration, SimTime};
 
@@ -124,7 +124,7 @@ impl RetrySpec {
 /// the simulator's fault plan.
 pub struct Disk {
     /// Timing and positional state of the device.
-    model: Device,
+    model: Box<dyn ServiceModel>,
     queue: DiskQueue<Access>,
     busy: bool,
     cache: BufferPool,
@@ -144,7 +144,7 @@ impl Disk {
     /// A new idle disk running `model`, with a prefetch pool sized by the
     /// model's cache capacity and evicting per `eviction`.
     pub fn new(
-        model: Device,
+        model: Box<dyn ServiceModel>,
         eviction: EvictionSpec,
         block_pages: u32,
         start: SimTime,
@@ -186,8 +186,8 @@ impl Disk {
     }
 
     /// The device's service model (for introspection/tests).
-    pub fn model(&self) -> &Device {
-        &self.model
+    pub fn model(&self) -> &dyn ServiceModel {
+        &*self.model
     }
 
     /// Queue an access with ED priority `deadline`. The current head
@@ -369,7 +369,7 @@ pub struct DiskFarm {
 
 impl DiskFarm {
     /// `n` identical disks, each running a fresh model from `make_model`.
-    pub fn new<F: Fn() -> Device>(
+    pub fn new<F: Fn() -> Box<dyn ServiceModel>>(
         n: u32,
         make_model: F,
         eviction: EvictionSpec,
@@ -435,7 +435,7 @@ mod tests {
 
     fn cyl_disk() -> Disk {
         Disk::new(
-            Device::Cylinder(CylinderModel::new(DiskGeometry::default())),
+            Box::new(CylinderModel::new(DiskGeometry::default())),
             EvictionSpec::Lru,
             6,
             SimTime::ZERO,
@@ -444,7 +444,7 @@ mod tests {
 
     fn ssd_disk() -> Disk {
         Disk::new(
-            Device::Ssd(SsdModel::new(SsdSpec::default())),
+            Box::new(SsdModel::new(SsdSpec::default())),
             EvictionSpec::Lru,
             6,
             SimTime::ZERO,

@@ -3,17 +3,16 @@
 //! This crate models the physical storage substrate the paper's simulator
 //! relies on:
 //!
-//! * [`service::ServiceModel`] — device service models:
+//! * [`service::ServiceModel`] — pluggable device service models:
 //!   [`service::CylinderModel`] (seek/rotation/transfer with
 //!   `Seek(n) = SeekFactor·√n` \[Bitt88\] and Table 3 defaults) and
 //!   [`service::SsdModel`] (latency + bandwidth with queue-depth
 //!   parallelism and read/write asymmetry), selected by
-//!   [`service::DeviceSpec`], which builds the closed
-//!   [`service::Device`] enum a disk runs.
+//!   [`service::DeviceSpec`].
 //! * [`geometry::DiskGeometry`] — the cylinder device's physical
 //!   parameters, also used by every device for file layout addressing.
 //! * [`pool::BufferPool`] — the per-disk prefetch cache, generalized over
-//!   [`pool::EvictionPolicy`] (LRU and LRU-K), selected by
+//!   a pluggable [`pool::EvictionPolicy`] (LRU and LRU-K), selected by
 //!   [`pool::EvictionSpec`].
 //! * [`queue::DiskQueue`] — per-disk Earliest-Deadline queues with elevator
 //!   (SCAN) ordering among requests of equal priority.
@@ -35,8 +34,8 @@ pub use disk::{Access, Disk, DiskFarm, IoKind, RetrySpec, Service};
 pub use geometry::{DiskGeometry, ServiceTable};
 pub use layout::{DiskId, FileId, FileMeta, Layout, RelationGroupSpec, RelationMeta};
 pub use pool::{
-    BufferPool, CacheKey, Eviction, EvictionPolicy, EvictionSpec, FastHasher, FastMap,
-    FlatLru, LruKPolicy, PrefetchCache,
+    BufferPool, CacheKey, EvictionPolicy, EvictionSpec, FastHasher, FastMap, FlatLru,
+    LruKPolicy, PrefetchCache,
 };
 pub use queue::{DiskQueue, QueuedRequest};
-pub use service::{CylinderModel, Device, DeviceSpec, ServiceModel, SsdModel, SsdSpec};
+pub use service::{CylinderModel, DeviceSpec, ServiceModel, SsdModel, SsdSpec};

@@ -3,24 +3,22 @@
 //! Section 4.2 gives each disk a 256-KByte prefetch cache; the seed
 //! hard-wired LRU eviction into `PrefetchCache`. This module generalizes it
 //! into [`BufferPool`] — hit/miss accounting plus block-granular line
-//! management — over the [`EvictionPolicy`] contract, implemented three
-//! times:
+//! management — over an [`EvictionPolicy`] trait with two implementations:
 //!
 //! * [`FlatLru`] — LRU as one recency-ordered array: a scan, a rotate on
 //!   a hit, a front removal on eviction. Every shipped device has 5 lines
-//!   (256 KB / 8 KB pages / 6-page blocks), where this beats a linked list
-//!   plus key index on every operation.
+//!   (256 KB / 8 KB pages / 6-page blocks), so a scan touches at most two
+//!   cache lines.
 //! * [`LruKPolicy`] — LRU-K \[O'Neil et al. 93\]: each line keeps its last
 //!   `K` access stamps; the victim is the line whose K-th most recent
 //!   access is oldest, with lines holding fewer than `K` stamps evicted
 //!   first (oldest first access breaks the tie). LRU-1 degenerates to
 //!   exact LRU.
 //!
-//! LRU is pinned against the seed's deque cache, and LRU-K
-//! against a naive transcription, by `crates/storage/tests/lru_model.rs`
-//! and the golden report. [`EvictionSpec`] is the configuration-surface
-//! enum selecting a policy, mirroring `DeviceSpec` on the device axis; it
-//! builds the closed [`Eviction`] enum the pool dispatches over.
+//! LRU is pinned against the seed's deque cache, and LRU-K against a naive
+//! transcription, by `crates/storage/tests/lru_model.rs` and the golden
+//! report. [`EvictionSpec`] is the configuration-surface enum selecting a
+//! policy, mirroring `DeviceSpec` on the device axis.
 
 use crate::layout::FileId;
 use std::collections::HashMap;
@@ -141,12 +139,10 @@ impl KeyIndex {
 
 /// How a [`BufferPool`] orders its lines for replacement.
 ///
-/// The pool runs one through the closed [`Eviction`] enum, selected by
-/// [`EvictionSpec`]; the trait stays object-safe so tests can drive any
-/// policy behind one interface. The contract mirrors what block-granular
-/// caching needs — membership, access recording, insertion (which records
-/// an access when the line is already resident), victim selection, and
-/// filtered invalidation.
+/// Object-safe: the pool boxes one, selected by [`EvictionSpec`]. The
+/// contract mirrors what block-granular caching needs — membership,
+/// access recording, insertion (which records an access when the line is
+/// already resident), victim selection, and filtered invalidation.
 pub trait EvictionPolicy: std::fmt::Debug + Send {
     /// Short policy name for reports (`"lru"`, `"lru-2"`).
     fn name(&self) -> String;
@@ -180,8 +176,9 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
 /// LRU order: the resident lines in one array, least recently used first.
 /// Membership is a scan, a hit rotates the line to the MRU end, and
 /// eviction removes the front, so every operation is O(lines). At the
-/// paper's 5 lines the whole order fits in two cache lines. Pinned against
-/// the seed's deque cache by `crates/storage/tests/lru_model.rs`.
+/// paper's 5 lines the whole order fits in two cache lines, and this is
+/// cheaper than keeping a linked list and a key index in step. Pinned
+/// against the seed's deque cache by `crates/storage/tests/lru_model.rs`.
 #[derive(Debug)]
 pub struct FlatLru {
     /// Resident lines, LRU at index 0, MRU at the end.
@@ -404,69 +401,11 @@ impl EvictionSpec {
     }
 
     /// Build a fresh policy sized for `capacity_entries` lines.
-    pub fn build(&self, capacity_entries: usize) -> Eviction {
+    pub fn build(&self, capacity_entries: usize) -> Box<dyn EvictionPolicy> {
         match self {
-            EvictionSpec::Lru => Eviction::Lru(FlatLru::new(capacity_entries)),
-            EvictionSpec::LruK { k } => {
-                Eviction::LruK(LruKPolicy::new(*k, capacity_entries))
-            }
+            EvictionSpec::Lru => Box::new(FlatLru::new(capacity_entries)),
+            EvictionSpec::LruK { k } => Box::new(LruKPolicy::new(*k, capacity_entries)),
         }
-    }
-}
-
-/// The eviction policies a [`BufferPool`] can run, as a closed set: the
-/// pool dispatches with a `match` the compiler can inline into the
-/// read-service path instead of a virtual call per cache operation.
-#[derive(Debug)]
-pub enum Eviction {
-    /// LRU.
-    Lru(FlatLru),
-    /// LRU-K.
-    LruK(LruKPolicy),
-}
-
-/// Forward one [`EvictionPolicy`] call to whichever policy is built in.
-macro_rules! dispatch {
-    ($self:ident, $p:ident => $call:expr) => {
-        match $self {
-            Eviction::Lru($p) => $call,
-            Eviction::LruK($p) => $call,
-        }
-    };
-}
-
-impl EvictionPolicy for Eviction {
-    fn name(&self) -> String {
-        dispatch!(self, p => p.name())
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        dispatch!(self, p => p.len())
-    }
-
-    #[inline]
-    fn contains(&self, key: &CacheKey) -> bool {
-        dispatch!(self, p => p.contains(key))
-    }
-
-    #[inline]
-    fn touch(&mut self, key: &CacheKey) {
-        dispatch!(self, p => p.touch(key))
-    }
-
-    #[inline]
-    fn insert(&mut self, key: CacheKey) {
-        dispatch!(self, p => p.insert(key))
-    }
-
-    #[inline]
-    fn evict(&mut self) -> Option<CacheKey> {
-        dispatch!(self, p => p.evict())
-    }
-
-    fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool) {
-        dispatch!(self, p => p.retain(pred))
     }
 }
 
@@ -478,7 +417,7 @@ impl EvictionPolicy for Eviction {
 pub struct BufferPool {
     capacity_blocks: usize,
     block_pages: u32,
-    policy: Eviction,
+    policy: Box<dyn EvictionPolicy>,
     hits: u64,
     misses: u64,
 }

@@ -17,10 +17,9 @@
 //!   bandwidth-proportional transfer, with queue-depth internal parallelism
 //!   and read/write asymmetry ([`SsdSpec`]).
 //!
-//! [`DeviceSpec`] is the configuration-surface enum that selects a model
-//! and builds it as a [`Device`], the closed enum a disk dispatches over
-//! with a `match`; it lives here (not in `rtdbs`) so the bench driver and
-//! tests can construct devices without the engine.
+//! [`DeviceSpec`] is the configuration-surface enum that selects and builds
+//! a model; it lives here (not in `rtdbs`) so the bench driver and tests
+//! can construct devices without the engine.
 
 use crate::disk::IoKind;
 use crate::geometry::{DiskGeometry, ServiceTable};
@@ -29,10 +28,8 @@ use simkit::Duration;
 /// A storage device's service-time model. Owns the device-positional state
 /// (e.g. head cylinder) that the next access's cost depends on.
 ///
-/// A [`crate::Disk`] runs the closed [`Device`] enum, which implements
-/// this trait by forwarding; the trait stays object-safe and `Send` so
-/// tests and reference computations can hold any model behind one
-/// interface.
+/// Object-safe and `Send` so a [`crate::Disk`] can box one and still move
+/// across the bench driver's worker threads.
 pub trait ServiceModel: std::fmt::Debug + Send {
     /// Short device name for reports (`"cylinder"`, `"ssd"`).
     fn name(&self) -> &'static str;
@@ -249,10 +246,10 @@ impl DeviceSpec {
 
     /// Build a fresh service model. `geometry` parameterizes the cylinder
     /// device; the SSD carries its own spec.
-    pub fn build(&self, geometry: &DiskGeometry) -> Device {
+    pub fn build(&self, geometry: &DiskGeometry) -> Box<dyn ServiceModel> {
         match self {
-            DeviceSpec::Cylinder => Device::Cylinder(CylinderModel::new(*geometry)),
-            DeviceSpec::Ssd(spec) => Device::Ssd(SsdModel::new(*spec)),
+            DeviceSpec::Cylinder => Box::new(CylinderModel::new(*geometry)),
+            DeviceSpec::Ssd(spec) => Box::new(SsdModel::new(*spec)),
         }
     }
 
@@ -265,63 +262,6 @@ impl DeviceSpec {
                 .checked_div(geometry.page_bytes)
                 .unwrap_or(0),
             DeviceSpec::Ssd(spec) => spec.cache_pages(),
-        }
-    }
-}
-
-/// A built service model, as a closed set: a [`crate::Disk`] holds one by
-/// value and dispatches with a `match`, so the per-access calls
-/// (`position`, `access_time`) inline into the disk's start path instead
-/// of going through a vtable.
-#[derive(Debug)]
-pub enum Device {
-    /// The paper's mechanical disk.
-    Cylinder(CylinderModel),
-    /// A flash device.
-    Ssd(SsdModel),
-}
-
-impl ServiceModel for Device {
-    fn name(&self) -> &'static str {
-        match self {
-            Device::Cylinder(m) => m.name(),
-            Device::Ssd(m) => m.name(),
-        }
-    }
-
-    fn cache_pages(&self) -> u32 {
-        match self {
-            Device::Cylinder(m) => m.cache_pages(),
-            Device::Ssd(m) => m.cache_pages(),
-        }
-    }
-
-    #[inline]
-    fn position(&self) -> u32 {
-        match self {
-            Device::Cylinder(m) => m.position(),
-            Device::Ssd(m) => m.position(),
-        }
-    }
-
-    fn park_at(&mut self, cylinder: u32) {
-        match self {
-            Device::Cylinder(m) => m.park_at(cylinder),
-            Device::Ssd(m) => m.park_at(cylinder),
-        }
-    }
-
-    #[inline]
-    fn access_time(
-        &mut self,
-        cylinder: u32,
-        pages: u32,
-        kind: IoKind,
-        queued: usize,
-    ) -> Duration {
-        match self {
-            Device::Cylinder(m) => m.access_time(cylinder, pages, kind, queued),
-            Device::Ssd(m) => m.access_time(cylinder, pages, kind, queued),
         }
     }
 }

@@ -44,8 +44,7 @@ fn reference(
                 };
                 let cyl = geometry.cylinder_of(start, io.first_page);
                 let model = models.entry(disk).or_insert_with(|| {
-                    let mut m: Box<dyn ServiceModel> =
-                        Box::new(res.device.build(&geometry));
+                    let mut m = res.device.build(&geometry);
                     m.park_at(cyl);
                     m
                 });
